@@ -21,7 +21,7 @@ from .engine import (
     global_trajectory,
     prompt_trajectory,
 )
-from .kernels import delayed_kernel, kernel_walk, quantum_kernel
+from .kernels import delayed_kernel, kernel_walk
 from .verify import run_suite
 
 SCHEMES = ("prompt", "global", "kernel", "cp")
@@ -87,8 +87,7 @@ def walk_trajectory(config: WalkConfig, scheme: str, steps: int, m: int):
     if scheme == "global":
         return global_trajectory(config, steps)
     if scheme == "kernel":
-        return kernel_walk(delayed_kernel(config, m) if m != 1
-                           else quantum_kernel(config, 1), steps)
+        return kernel_walk(delayed_kernel(config, m), steps)
     if scheme == "cp":
         return [rho.diagonal() for rho in cp_walk(config, m, steps)]
     raise ValueError(f"unknown scheme: {scheme!r}")

@@ -13,12 +13,14 @@ Three tracing schemes are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .laurent import IDENTITY, CoinBlock, E_MINUS, E_PLUS, LaurentOperator
+from .laurent import IDENTITY, CoinBlock, E_MINUS, E_PLUS, FiniteSequence, LaurentOperator
 
+#: Normalization slack of the initial coin state, |c|^2 + |d|^2 - 1.
+NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 NEGATIVE_DUST = 1e-12
@@ -53,7 +55,7 @@ class WalkConfig:
     def __post_init__(self):
         if (self.p is None) == (self.coin is None):
             raise ValueError("specify exactly one of p or coin")
-        if abs(abs(self.c) ** 2 + abs(self.d) ** 2 - 1.0) > 1e-12:
+        if abs(abs(self.c) ** 2 + abs(self.d) ** 2 - 1.0) > NORM_TOL:
             raise ValueError("initial coin amplitudes must satisfy |c|^2 + |d|^2 = 1")
         if self.p is not None:
             if not 0.0 <= self.p <= 1.0:
@@ -80,60 +82,47 @@ class WalkConfig:
         return coin_matrix(self.p)
 
 
-class SiteDistribution:
-    """A finite-support probability distribution over integer lattice sites."""
+class SiteDistribution(FiniteSequence):
+    """A finite-support probability distribution over integer lattice sites.
 
-    __slots__ = ("_probs",)
+    Built from a mapping ``{site: probability}`` or a pair ``(lo, probs)``.
+    Negative dust down to -1e-12 is dropped, like exact zeros, and the
+    probabilities must sum to 1 within ``sum_tol``.
+    """
 
-    def __init__(self, probs: Mapping[int, float], *, sum_tol: float = 1e-12):
-        clean: dict[int, float] = {}
-        total = 0.0
-        for site, prob in probs.items():
-            prob = float(prob)
-            if prob < -NEGATIVE_DUST:
-                raise ValueError(f"negative probability {prob} at site {site}")
-            if prob > 0.0:
-                clean[int(site)] = prob
-                total += prob
+    __slots__ = ()
+
+    def __init__(self, probs: Mapping[int, float] | tuple, *, sum_tol: float = 1e-12):
+        super().__init__(probs)
+        total = float(self.values.sum())
         if abs(total - 1.0) > sum_tol:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        self._probs = clean
+
+    def _kept(self, lo: int, values: np.ndarray) -> np.ndarray:
+        negative = values < -NEGATIVE_DUST
+        if np.count_nonzero(negative):
+            k = int(np.argmax(negative))
+            raise ValueError(f"negative probability {values[k]} at site {lo + k}")
+        return values > 0.0
+
+    def _clean(self, probs: list) -> bool:
+        positive = map(0.0.__lt__, filter(None, probs))
+        return not probs or (probs[0] > 0.0 and probs[-1] > 0.0 and all(positive))
 
     @classmethod
     def delta(cls, site: int = 0) -> "SiteDistribution":
         return cls({site: 1.0})
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._probs))
-
-    def __getitem__(self, site: int) -> float:
-        return self._probs.get(site, 0.0)
-
-    def __len__(self) -> int:
-        return len(self._probs)
-
-    def items(self) -> Iterator[tuple[int, float]]:
-        return iter(sorted(self._probs.items()))
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{s}: {p:.6g}" for s, p in self.items())
-        return f"SiteDistribution({{{body}}})"
-
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        sites = np.array(self.support, dtype=int)
-        probs = np.array([self._probs[s] for s in sites], dtype=float)
-        return sites, probs
+        nonzero = np.flatnonzero(self.values)
+        return nonzero + self.lo, self.values[nonzero]
 
     def probabilities(self) -> np.ndarray:
-        return np.array([p for _, p in self.items()])
-
-    def distance(self, other: "SiteDistribution") -> float:
-        sites = set(self._probs) | set(other._probs)
-        return max((abs(self[s] - other[s]) for s in sites), default=0.0)
+        return self.values[self.values != 0.0]
 
     def total_variation(self, other: "SiteDistribution") -> float:
-        sites = set(self._probs) | set(other._probs)
+        # summed in set order: the printed verify residuals depend on it
+        sites = set(self.support) | set(other.support)
         return 0.5 * sum(abs(self[s] - other[s]) for s in sites)
 
 
@@ -214,9 +203,7 @@ class DensityMatrix:
         total = diag.sum()
         if abs(total - 1.0) < 1e-10 and total > 0.0:
             diag /= total
-        return SiteDistribution(
-            {self._lo + k: v for k, v in enumerate(diag) if v > 0.0}
-        )
+        return SiteDistribution((self._lo, diag))
 
     def dense(self) -> np.ndarray:
         return self._mat.copy()
@@ -297,10 +284,7 @@ def global_trajectory(config: WalkConfig, n: int) -> list[SiteDistribution]:
 
 
 def _amplitude_distribution(psi: np.ndarray, offset: int) -> SiteDistribution:
-    probs = np.abs(psi[0]) ** 2 + np.abs(psi[1]) ** 2
-    return SiteDistribution(
-        {k - offset: p for k, p in enumerate(probs) if p > 0.0}
-    )
+    return SiteDistribution((-offset, np.abs(psi[0]) ** 2 + np.abs(psi[1]) ** 2))
 
 
 def global_distribution(config: WalkConfig, n: int) -> SiteDistribution:
@@ -328,9 +312,9 @@ def prompt_trajectory(config: WalkConfig, n: int) -> list[SiteDistribution]:
     for _ in range(n):
         probs = np.convolve(probs, step)
         lo -= 1
-        out.append(
-            SiteDistribution({lo + 2 * k: p for k, p in enumerate(probs) if p > 0.0})
-        )
+        sites = np.zeros(2 * probs.size - 1)
+        sites[::2] = probs  # a step changes the site parity
+        out.append(SiteDistribution((lo, sites)))
     return out
 
 

@@ -1,26 +1,26 @@
 """Doubly stochastic kernels, reshuffling matrices, and the pseudo-memory map.
 
-All kernels here are translation invariant, so they are stored by
-displacement degree like the complex operators in :mod:`coinwalk.laurent`,
-but with real coefficients.  For such a kernel the row sums, column sums,
-and plain coefficient sum coincide, which makes double stochasticity a
-one-line check.
+All kernels here are translation invariant, so a kernel is a finitely
+supported real sequence on Z -- the same ``(lo, values)`` core as the complex
+operators in :mod:`coinwalk.laurent` and the site distributions it acts on.
+Applying a kernel to a distribution is their convolution.  For such a kernel
+the row sums, column sums, and plain coefficient sum coincide, which makes
+double stochasticity a one-line check.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .engine import SiteDistribution, WalkConfig, kraus_delayed, kraus_pair
-from .laurent import LaurentOperator
+from .engine import NORM_TOL, SiteDistribution, WalkConfig, kraus_delayed, kraus_pair
+from .laurent import TRIM_TOL, FiniteSequence, LaurentOperator, window_sum
 
-TRIM_TOL = 1e-14
 REAL_TOL = 1e-12
-SUM_TOL = 1e-12
 NONNEG_TOL = 1e-12
+UNIT_ROUNDOFF = 2.0**-53  # of IEEE double precision
 
 
 class IncompatibleCoinError(ValueError):
@@ -40,45 +40,45 @@ class IncompatibleCoinError(ValueError):
         )
 
 
-class RealKernel:
+class RealKernel(FiniteSequence):
     """A real translation-invariant kernel indexed by displacement degree.
 
+    Built from a mapping ``{degree: coefficient}`` or a pair ``(lo, values)``.
     ``kind`` may be ``"stochastic"`` (nonnegative, coefficients sum to 1,
     hence doubly stochastic as a matrix) or ``"null-sum"`` (coefficients sum
-    to 0); either flag is validated at construction.
+    to 0); either flag is validated at construction.  The sum may miss its
+    target by the normalization slack of the initial coin state plus the
+    rounding bound of an n-term sum, n u ||c||_1.
     """
 
-    __slots__ = ("_coeffs", "kind")
+    __slots__ = ("kind",)
 
-    def __init__(self, coeffs: Mapping[int, float], kind: str | None = None):
-        data: dict[int, float] = {}
-        for deg, val in coeffs.items():
-            val = float(val)
-            if abs(val) > TRIM_TOL:
-                data[int(deg)] = val
-        total = sum(data.values())
+    def __init__(self, coeffs: Mapping[int, float] | tuple, kind: str | None = None):
+        super().__init__(coeffs)
         if kind == "stochastic":
-            if any(v < -NONNEG_TOL for v in data.values()):
+            if np.count_nonzero(self.values < -NONNEG_TOL):
                 raise ValueError("stochastic kernel has a negative coefficient")
-            if abs(total - 1.0) > SUM_TOL:
-                raise ValueError(f"stochastic kernel sums to {total}, not 1")
+            target = 1.0
         elif kind == "null-sum":
-            if abs(total) > SUM_TOL:
-                raise ValueError(f"null-sum kernel sums to {total}, not 0")
+            target = 0.0
         elif kind is not None:
             raise ValueError(f"unknown kernel kind: {kind!r}")
-        self._coeffs = data
+        if kind is not None:
+            total = self.coefficient_sum
+            bound = len(self) * UNIT_ROUNDOFF * float(np.abs(self.values).sum())
+            if abs(total - target) > NORM_TOL + bound:
+                raise ValueError(f"{kind} kernel sums to {total}, not {target:g}")
         self.kind = kind
 
     @classmethod
     def from_laurent(cls, op: LaurentOperator, kind: str | None = None) -> "RealKernel":
         """Cast a Laurent operator with (analytically) real coefficients."""
-        coeffs = {}
-        for deg, amp in op.items():
-            if abs(amp.imag) > REAL_TOL:
-                raise ValueError(f"coefficient at degree {deg} has imaginary part {amp.imag}")
-            coeffs[deg] = amp.real
-        return cls(coeffs, kind)
+        imag = np.abs(op.values.imag) > REAL_TOL
+        if np.count_nonzero(imag):
+            k = int(np.argmax(imag))
+            raise ValueError(f"coefficient at degree {op.lo + k} has imaginary part "
+                             f"{op.values.imag[k]}")
+        return cls((op.lo, op.values.real), kind)
 
     @classmethod
     def identity(cls) -> "RealKernel":
@@ -86,72 +86,26 @@ class RealKernel:
 
     # -- inspection ---------------------------------------------------------
 
-    def coeff(self, degree: int) -> float:
-        return self._coeffs.get(degree, 0.0)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._coeffs))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     @property
     def coefficient_sum(self) -> float:
-        return sum(self._coeffs.values())
-
-    def items(self) -> Iterator[tuple[int, float]]:
-        return iter(sorted(self._coeffs.items()))
+        # a sequential sum in ascending degree order: verify reports print it
+        return sum(self.values.tolist())
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{d}: {v:.6g}" for d, v in self.items())
-        return f"RealKernel({{{body}}}, kind={self.kind!r})"
-
-    def distance(self, other: "RealKernel") -> float:
-        degrees = set(self._coeffs) | set(other._coeffs)
-        return max((abs(self.coeff(d) - other.coeff(d)) for d in degrees), default=0.0)
-
-    def isclose(self, other: "RealKernel", tol: float = 1e-12) -> bool:
-        return self.distance(other) <= tol
+        return f"{super().__repr__()[:-1]}, kind={self.kind!r})"
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other: "RealKernel") -> "RealKernel":
-        out = dict(self._coeffs)
-        for deg, val in other._coeffs.items():
-            out[deg] = out.get(deg, 0.0) + val
-        return RealKernel(out)
-
-    def __sub__(self, other: "RealKernel") -> "RealKernel":
-        out = dict(self._coeffs)
-        for deg, val in other._coeffs.items():
-            out[deg] = out.get(deg, 0.0) - val
-        return RealKernel(out)
-
-    def __mul__(self, other):
-        if isinstance(other, RealKernel):
-            return self.convolve(other)
-        return RealKernel({d: other * v for d, v in self._coeffs.items()})
-
-    def __rmul__(self, scalar) -> "RealKernel":
-        return RealKernel({d: scalar * v for d, v in self._coeffs.items()})
-
-    def convolve(self, other: "RealKernel") -> "RealKernel":
-        if not self._coeffs or not other._coeffs:
-            return RealKernel({})
-        lo_a, arr_a = self._as_array()
-        lo_b, arr_b = other._as_array()
-        conv = np.convolve(arr_a, arr_b)
-        lo = lo_a + lo_b
+    def convolve(self, other: FiniteSequence) -> "RealKernel":
         # coefficient sums multiply under convolution, so flags propagate
-        if "null-sum" in (self.kind, other.kind):
+        other_kind = getattr(other, "kind", None)
+        if "null-sum" in (self.kind, other_kind):
             kind = "null-sum"
-        elif self.kind == other.kind == "stochastic":
+        elif self.kind == other_kind == "stochastic":
             kind = "stochastic"
         else:
             kind = None
-        return RealKernel({lo + k: v for k, v in enumerate(conv)}, kind)
+        return RealKernel(self._convolved(other), kind)
 
     def power(self, n: int) -> "RealKernel":
         if n < 0:
@@ -162,26 +116,22 @@ class RealKernel:
         return result
 
     def apply(self, mapping: Mapping[int, float]) -> dict[int, float]:
-        """Convolve with an arbitrary signed site map; returns a plain dict."""
-        out: dict[int, float] = {}
-        for deg, val in self._coeffs.items():
-            for site, weight in mapping.items():
-                key = site + deg
-                out[key] = out.get(key, 0.0) + val * weight
-        return out
+        """Convolve with a signed site map; returns its nonzero sites as a plain dict.
+
+        Map entries at or below ``TRIM_TOL`` in magnitude count as zero.
+        """
+        lo, values = self._applied(FiniteSequence(mapping))
+        return {lo + k: v for k, v in enumerate(values.tolist()) if v}
 
     def apply_distribution(self, dist: SiteDistribution) -> SiteDistribution:
         if self.kind != "stochastic":
             raise ValueError("only stochastic kernels map distributions to distributions")
-        return SiteDistribution(self.apply(dict(dist.items())))
+        return SiteDistribution(self._applied(dist))
 
-    def _as_array(self) -> tuple[int, np.ndarray]:
-        lo = min(self._coeffs)
-        hi = max(self._coeffs)
-        arr = np.zeros(hi - lo + 1, dtype=float)
-        for deg, val in self._coeffs.items():
-            arr[deg - lo] = val
-        return lo, arr
+    def _applied(self, seq: FiniteSequence) -> tuple[int, np.ndarray]:
+        """The convolution with ``seq`` as shifted adds over ascending kernel degrees."""
+        degrees = enumerate(self.values.tolist(), self.lo + seq.lo)
+        return window_sum((lo, c * seq.values) for lo, c in degrees if c)
 
 
 SHIFT_DIFFERENCE = RealKernel({+1: 1.0, -1: -1.0}, "null-sum")
@@ -231,16 +181,13 @@ def reshuffling_matrix(config: WalkConfig, i: int) -> RealKernel:
     """The null-sum kernel weighting the (n-i)-step classical distribution."""
     if i < 1:
         raise ValueError(f"reshuffling index must be at least 1, got {i}")
-    if i == 1:
-        return RealKernel({}, "null-sum")
-    kernel = SHIFT_DIFFERENCE.convolve(mixing_matrix(config, i - 1))
-    return RealKernel(dict(kernel.items()), "null-sum")
+    return SHIFT_DIFFERENCE.convolve(mixing_matrix(config, i - 1))
 
 
 def phi_matrix(config: WalkConfig) -> RealKernel:
     """The fixed null-sum part of the period-2 delayed kernel."""
     kernel = delayed_kernel(config) - classical_kernel(_require_bias(config))
-    return RealKernel(dict(kernel.items()), "null-sum")
+    return RealKernel((kernel.lo, kernel.values), "null-sum")
 
 
 def delayed_kernel(config: WalkConfig, m: int = 2) -> RealKernel:
@@ -276,17 +223,11 @@ def binomial_solution(config: WalkConfig, n: int) -> SiteDistribution:
         raise ValueError(f"step count must be nonnegative, got {n}")
     delta_c = classical_kernel(_require_bias(config))
     phi = phi_matrix(config)
-    acc: dict[int, float] = {}
-    for k in range(n + 1):
-        term = phi.power(n - k).convolve(delta_c.power(k))
-        weight = float(math.comb(n, k))
-        for deg, val in term.items():
-            acc[deg] = acc.get(deg, 0.0) + weight * val
+    terms = (phi.power(n - k).convolve(delta_c.power(k)) for k in range(n + 1))
+    lo, acc = window_sum((t.lo, float(math.comb(n, k)) * t.values) for k, t in enumerate(terms))
     # the alternating binomial sum cancels to scale 1, leaving signed rounding
     # noise a little above the default distribution tolerances
-    return SiteDistribution(
-        {d: v for d, v in acc.items() if v > 1e-11}, sum_tol=1e-9
-    )
+    return SiteDistribution((lo, np.where(acc > 1e-11, acc, 0.0)), sum_tol=1e-9)
 
 
 def pseudo_memory_reconstruct(config: WalkConfig, n: int) -> SiteDistribution:
@@ -304,15 +245,17 @@ def pseudo_memory_reconstruct(config: WalkConfig, n: int) -> SiteDistribution:
     measured_right = abs(a0.coeff(+1)) ** 2
     if abs(measured_right - (1.0 - p)) > 1e-10:
         raise IncompatibleCoinError(measured_right, 1.0 - p)
-    delta_c = classical_kernel(p)
+    acc = _memory_sum(config, classical_kernel(p), n)
+    clipped = np.where(acc.values > TRIM_TOL, acc.values, 0.0)
+    return SiteDistribution((acc.lo, clipped), sum_tol=1e-9)
+
+
+def _memory_sum(config: WalkConfig, delta_c: RealKernel, n: int) -> RealKernel:
+    """delta_c^n + sum_{i=2..n} Omega_i * delta_c^(n-i), trimmed but not clipped or validated."""
     classical = [RealKernel.identity()]
     for _ in range(n):
         classical.append(delta_c.convolve(classical[-1]))
-    acc = {deg: val for deg, val in classical[n].items()}
-    for i in range(2, n + 1):
-        omega = reshuffling_matrix(config, i)
-        for deg, val in omega.convolve(classical[n - i]).items():
-            acc[deg] = acc.get(deg, 0.0) + val
-    return SiteDistribution(
-        {d: v for d, v in acc.items() if v > TRIM_TOL}, sum_tol=1e-9
-    )
+    terms = [classical[n]]
+    terms += [reshuffling_matrix(config, i).convolve(classical[n - i]) for i in range(2, n + 1)]
+    return RealKernel(window_sum((t.lo, t.values) for t in terms))
+

@@ -1,35 +1,178 @@
-"""Exact arithmetic for translation-invariant operators on the integer lattice.
+"""Finitely supported sequences on the integer lattice, and the shift algebra.
 
-Every operator here is a Laurent polynomial in the commuting unit-shift
-operators, stored as a finite map from displacement degree to a complex
-coefficient.  The dense matrix realization of such an operator A satisfies
-A[i, j] = coeff(i - j) for all integer sites i, j; ``to_dense`` materializes
-a finite window of that matrix for oracle-style checks.
+Operators, kernels and site distributions are all finitely supported
+sequences on Z.  :class:`FiniteSequence` stores one as ``(lo, values)``, a
+read-only numpy array whose entry k is the coefficient at degree lo + k.
+Entries a type does not keep (for operators and kernels, those at or below
+``TRIM_TOL``) are stored as 0, zero ends are cut off, and zero entries never
+appear in ``support``, ``items`` or ``len``.  :class:`LaurentOperator`,
+``kernels.RealKernel`` and ``engine.SiteDistribution`` add only their own
+invariants.  A Laurent operator's dense realization A satisfies
+A[i, j] = coeff(i - j); ``to_dense`` materializes a finite window of it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
-#: Coefficients with magnitude below this are dropped after every operation.
+#: Coefficients with magnitude at or below this are set to zero by every
+#: operation.
 TRIM_TOL = 1e-14
+#: Up to this length a scalar pass finds that nothing needs trimming faster than
+#: the numpy mask (break-even about 32 complex or 60 real entries).
+_SCALAR_CHECK_MAX = 32
 
 
-class LaurentOperator:
+def _magnitude(values: np.ndarray) -> np.ndarray:
+    # np.hypot rounds like the scalar abs(); np.abs on complex arrays may not
+    if values.dtype.kind == "c":
+        return np.hypot(values.real, values.imag)
+    return np.abs(values)
+
+
+class FiniteSequence:
+    """An immutable finitely supported sequence on Z, stored as ``(lo, values)``.
+
+    Constructed from a mapping ``{degree: coefficient}`` or from a pair
+    ``(lo, values)`` of a first degree and a one-dimensional array.
+    """
+
+    __slots__ = ("lo", "values")
+
+    dtype = float
+    # numpy scalars defer to __rmul__ instead of reading this as an array
+    __array_ufunc__ = None
+    # coeff answers every degree, so index iteration would never stop
+    __iter__ = None
+
+    def __init__(self, coeffs=None):
+        if type(coeffs) is not tuple:  # a mapping is the sum of its one-degree terms
+            terms = (coeffs or {}).items()
+            coeffs = window_sum((int(d), np.array([c], dtype=self.dtype)) for d, c in terms)
+        # same_kind: complex values raise TypeError for a real type
+        values = np.asarray(coeffs[1]).astype(self.dtype, casting="same_kind", copy=False)
+        lo = int(coeffs[0])
+        if values.ndim != 1:
+            raise ValueError("sequence values must be one-dimensional")
+        if values.size <= _SCALAR_CHECK_MAX and self._clean(values.tolist()):
+            values = values.copy()
+        else:
+            keep = self._kept(lo, values)
+            kept = keep.nonzero()[0]
+            a, b = (int(kept[0]), int(kept[-1]) + 1) if kept.size else (0, 0)
+            values = np.where(keep[a:b], values[a:b], self.dtype())
+            lo += a
+        values.setflags(write=False)
+        self.lo = lo if values.size else 0
+        self.values = values
+
+    def _kept(self, lo: int, values: np.ndarray) -> np.ndarray:
+        """Mask of the entries to store; the rest are set to zero."""
+        return _magnitude(values) > TRIM_TOL
+
+    def _clean(self, coeffs: list) -> bool:
+        """Whether ``_kept`` keeps every nonzero entry and both ends; must agree with it."""
+        large = map(TRIM_TOL.__lt__, map(abs, filter(None, coeffs)))
+        return not coeffs or bool(coeffs[0] and coeffs[-1] and all(large))
+
+    # -- inspection ---------------------------------------------------------
+
+    def coeff(self, degree: int):
+        k = degree - self.lo
+        if 0 <= k < self.values.size:
+            return self.values[k].item()
+        return self.dtype()
+
+    __getitem__ = coeff
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        return tuple((self.values.nonzero()[0] + self.lo).tolist())
+
+    @property
+    def is_zero(self) -> bool:
+        return self.values.size == 0
+
+    def items(self) -> Iterator[tuple[int, complex | float]]:
+        nonzero = self.values.nonzero()[0]
+        return zip((nonzero + self.lo).tolist(), self.values[nonzero].tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.values))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{d}: {v:.6g}" for d, v in self.items())
+        return f"{type(self).__name__}({{{body}}})"
+
+    def distance(self, other: "FiniteSequence") -> float:
+        """Max absolute coefficient difference (Chebyshev distance)."""
+        _, diff = window_sum([(self.lo, self.values), (other.lo, -other.values)])
+        return float(_magnitude(diff).max()) if diff.size else 0.0
+
+    def isclose(self, other: "FiniteSequence", tol: float = 1e-12) -> bool:
+        return self.distance(other) <= tol
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def __add__(self, other: "FiniteSequence"):
+        if not isinstance(other, FiniteSequence):
+            return NotImplemented
+        return type(self)(window_sum([(self.lo, self.values), (other.lo, other.values)]))
+
+    def __sub__(self, other: "FiniteSequence"):
+        if not isinstance(other, FiniteSequence):
+            return NotImplemented
+        return type(self)(window_sum([(self.lo, self.values), (other.lo, -other.values)]))
+
+    def __neg__(self):
+        return type(self)((self.lo, -self.values))
+
+    def __mul__(self, other):
+        if isinstance(other, FiniteSequence):
+            return self.convolve(other)
+        return self.__rmul__(other)
+
+    def __rmul__(self, scalar):
+        if isinstance(scalar, complex):
+            # scalar complex arithmetic: a vectorized complex multiply may
+            # fuse its products and round differently
+            scalar = complex(scalar)
+            out = [scalar * v for v in self.values.tolist()]
+        else:
+            out = scalar * self.values
+        return type(self)((self.lo, out))
+
+    def convolve(self, other: "FiniteSequence"):
+        return type(self)(self._convolved(other))
+
+    def _convolved(self, other: "FiniteSequence") -> tuple[int, np.ndarray]:
+        if self.is_zero or other.is_zero:
+            return 0, self.values[:0]
+        return self.lo + other.lo, np.convolve(self.values, other.values)
+
+
+def window_sum(terms: Iterable[tuple[int, np.ndarray]]) -> tuple[int, np.ndarray]:
+    """The sum of ``(lo, values)`` terms, added in order on their union window, untrimmed."""
+    terms = [(lo, values) for lo, values in terms if values.size]
+    if not terms:
+        return 0, np.zeros(0)
+    first = min([lo for lo, _ in terms])
+    size = max([lo + values.size for lo, values in terms]) - first
+    complex_terms = any(values.dtype.kind == "c" for _, values in terms)
+    acc = np.zeros(size, dtype=complex if complex_terms else float)
+    for lo, values in terms:
+        acc[lo - first : lo - first + values.size] += values
+    return first, acc
+
+
+class LaurentOperator(FiniteSequence):
     """A finite-support Laurent polynomial in the lattice shift operator."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: Mapping[int, complex] | None = None):
-        data: dict[int, complex] = {}
-        if coeffs:
-            for deg, amp in coeffs.items():
-                amp = complex(amp)
-                if abs(amp) > TRIM_TOL:
-                    data[int(deg)] = amp
-        self._coeffs = data
+    dtype = complex
 
     # -- constructors -------------------------------------------------------
 
@@ -45,71 +188,11 @@ class LaurentOperator:
     def shift(cls, degree: int, amplitude: complex = 1.0) -> "LaurentOperator":
         return cls({degree: amplitude})
 
-    # -- inspection ---------------------------------------------------------
-
-    def coeff(self, degree: int) -> complex:
-        return self._coeffs.get(degree, 0j)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._coeffs))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def items(self) -> Iterator[tuple[int, complex]]:
-        return iter(sorted(self._coeffs.items()))
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __repr__(self) -> str:
-        terms = ", ".join(f"{d}: {a}" for d, a in self.items())
-        return f"LaurentOperator({{{terms}}})"
-
-    def distance(self, other: "LaurentOperator") -> float:
-        """Max absolute coefficient difference (Chebyshev distance)."""
-        degrees = set(self._coeffs) | set(other._coeffs)
-        if not degrees:
-            return 0.0
-        return max(abs(self.coeff(d) - other.coeff(d)) for d in degrees)
-
-    def isclose(self, other: "LaurentOperator", tol: float = 1e-12) -> bool:
-        return self.distance(other) <= tol
-
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other: "LaurentOperator") -> "LaurentOperator":
-        if not isinstance(other, LaurentOperator):
-            return NotImplemented
-        out = dict(self._coeffs)
-        for deg, amp in other._coeffs.items():
-            out[deg] = out.get(deg, 0j) + amp
-        return LaurentOperator(out)
-
-    def __neg__(self) -> "LaurentOperator":
-        return LaurentOperator({d: -a for d, a in self._coeffs.items()})
-
-    def __sub__(self, other: "LaurentOperator") -> "LaurentOperator":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentOperator):
-            if not self._coeffs or not other._coeffs:
-                return LaurentOperator()
-            lo_a, arr_a = self._as_array()
-            lo_b, arr_b = other._as_array()
-            conv = np.convolve(arr_a, arr_b)
-            lo = lo_a + lo_b
-            return LaurentOperator({lo + k: v for k, v in enumerate(conv)})
-        return LaurentOperator({d: other * a for d, a in self._coeffs.items()})
-
-    def __rmul__(self, scalar) -> "LaurentOperator":
-        return LaurentOperator({d: scalar * a for d, a in self._coeffs.items()})
-
     def adjoint(self) -> "LaurentOperator":
-        return LaurentOperator({-d: np.conj(a) for d, a in self._coeffs.items()})
+        hi = self.lo + self.values.size - 1
+        return LaurentOperator((-hi, np.conj(self.values[::-1])))
 
     def hadamard_conj(self, other: "LaurentOperator") -> "LaurentOperator":
         """Degree-wise product of self with the conjugate of ``other``.
@@ -117,12 +200,17 @@ class LaurentOperator:
         Equals the matrix Hadamard product of the dense realizations of
         self and the entrywise conjugate of ``other``.
         """
-        out = {}
-        for deg, amp in self._coeffs.items():
-            b = other.coeff(deg)
-            if b:
-                out[deg] = amp * np.conj(b)
-        return LaurentOperator(out)
+        lo = max(self.lo, other.lo)
+        hi = min(self.lo + self.values.size, other.lo + other.values.size)
+        if hi <= lo:
+            return LaurentOperator()
+        a = self.values[lo - self.lo : hi - self.lo]
+        b = other.values[lo - other.lo : hi - other.lo]
+        # separate real products, rounded like the scalar a * conj(b)
+        out = np.empty(hi - lo, dtype=complex)
+        out.real = a.real * b.real + a.imag * b.imag
+        out.imag = a.imag * b.real - a.real * b.imag
+        return LaurentOperator((lo, out))
 
     def is_normal(self, tol: float = 1e-12) -> bool:
         return (self * self.adjoint()).isclose(self.adjoint() * self, tol)
@@ -136,20 +224,13 @@ class LaurentOperator:
             raise ValueError("window must be nonempty")
         diff = sites[:, None] - sites[None, :]
         out = np.zeros(diff.shape, dtype=complex)
-        for deg, amp in self._coeffs.items():
+        for deg, amp in self.items():
             out[diff == deg] = amp
         return out
 
-    def _as_array(self) -> tuple[int, np.ndarray]:
-        lo = min(self._coeffs)
-        hi = max(self._coeffs)
-        arr = np.zeros(hi - lo + 1, dtype=complex)
-        for deg, amp in self._coeffs.items():
-            arr[deg - lo] = amp
-        return lo, arr
-
 
 IDENTITY = LaurentOperator.one()
+ZERO = LaurentOperator.zero()
 E_PLUS = LaurentOperator.shift(+1)
 E_MINUS = LaurentOperator.shift(-1)
 
@@ -169,8 +250,7 @@ class CoinBlock:
 
     @classmethod
     def identity(cls) -> "CoinBlock":
-        one, zero = LaurentOperator.one(), LaurentOperator.zero()
-        return cls(((one, zero), (zero, one)))
+        return cls(((IDENTITY, ZERO), (ZERO, IDENTITY)))
 
     def __getitem__(self, key: tuple[int, int]) -> LaurentOperator:
         r, c = key
@@ -195,14 +275,14 @@ class CoinBlock:
         """Block power by binary exponentiation; n = 0 gives the identity block."""
         if n < 0:
             raise ValueError(f"negative block power: {n}")
-        result = CoinBlock.identity()
+        result = None  # the identity block, never multiplied out
         base = self
         while n:
             if n & 1:
-                result = result @ base
+                result = base if result is None else result @ base
             base = base @ base if n > 1 else base
             n >>= 1
-        return result
+        return CoinBlock.identity() if result is None else result
 
     def unitarity_defect(self) -> float:
         """Max coefficient deviation of B B-dagger from the identity block."""

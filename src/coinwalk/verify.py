@@ -178,24 +178,11 @@ def suite_memory(max_steps: int, tol: float | None = None) -> list[dict]:
     cfg = WalkConfig(c=1.0, d=0.0, p=p)
     trajectory = global_trajectory(cfg, min(max_steps, 8))
     for swap, bias in (("as-stated", p), ("swapped", 1.0 - p)):
-        worst = 0.0
         delta_c = classical_kernel(bias)
-        classical = [RealKernel.identity()]
-        for _ in range(min(max_steps, 8)):
-            classical.append(delta_c.convolve(classical[-1]))
-        for n in range(1, min(max_steps, 8) + 1):
-            acc = dict(classical[n].items())
-            for i in range(2, n + 1):
-                omega = reshuffling_matrix(cfg, i)
-                for deg, val in omega.convolve(classical[n - i]).items():
-                    acc[deg] = acc.get(deg, 0.0) + val
-            worst = max(
-                worst,
-                max(
-                    abs(acc.get(s, 0.0) - trajectory[n][s])
-                    for s in set(acc) | set(trajectory[n].support)
-                ),
-            )
+        worst = max(
+            kernels._memory_sum(cfg, delta_c, n).distance(trajectory[n])
+            for n in range(1, min(max_steps, 8) + 1)
+        )
         checks.append(
             _check(
                 "memory-convention-scan",

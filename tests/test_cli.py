@@ -1,9 +1,13 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from coinwalk import cli
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def run(argv, capsys):
@@ -189,6 +193,31 @@ class TestVerify:
         info = {c["name"] for c in report["checks"] if c["informational"]}
         assert "kernel-cp-divergence" in info
         assert "cp-walk-first-iteration-moment" in info
+
+    def test_prop2_beyond_fifteen_steps_reports_failure(self, tmp_path):
+        # Phi^n for n >= 15 drifts above 1e-12 in its sum; the report is still written
+        path = tmp_path / "prop2.json"
+        code = cli.main(["verify", "prop2", "--max-steps", "16", "--out", str(path)])
+        assert code == 1
+        report = json.loads(path.read_text())
+        failed = [c["name"] for c in report["checks"] if not c["pass"]]
+        assert failed == ["binomial-solution"]
+        binomial = next(c for c in report["checks"] if c["name"] == "binomial-solution")
+        assert 1e-10 < binomial["max_residual"] < 1e-9
+
+    @pytest.mark.parametrize("suite,steps,key", [
+        ("all", "12", "verify-all-12|"),
+        ("kraus", "20", "verify-kraus-20|"),
+    ])
+    def test_reports_match_recorded_digests(self, tmp_path, suite, steps, key):
+        # the benchmark's recorded sha256 of these reports: rounding-level
+        # residuals are printed, so any change in evaluation order shows here
+        recorded = json.loads(
+            (REPO / "perfbench" / "reference" / "cli_sha256.json").read_text()
+        )
+        path = tmp_path / "report.json"
+        cli.main(["verify", suite, "--max-steps", steps, "--out", str(path)])
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == recorded[key]
 
     def test_bad_suite_is_argument_error(self):
         with pytest.raises(SystemExit) as err:

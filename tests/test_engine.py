@@ -274,3 +274,22 @@ class TestSiteDistribution:
         a = SiteDistribution({0: 0.5, 2: 0.5})
         b = SiteDistribution({0: 1.0})
         assert a.total_variation(b) == pytest.approx(0.5)
+
+    def test_mapping_and_array_constructors_agree(self):
+        a = SiteDistribution({-1: 0.25, 0: 0.0, 1: 0.75, 3: -1e-13})
+        b = SiteDistribution((-3, np.array([0.0, 0.0, 0.25, 0.0, 0.75, 0.0, -1e-13])))
+        for dist in (a, b):
+            assert dist.support == (-1, 1)
+            assert list(dist.items()) == [(-1, 0.25), (1, 0.75)]
+            assert len(dist) == 2
+            assert dist[0] == 0.0 and dist[3] == 0.0
+        assert a.distance(b) == 0.0
+        assert np.array_equal(b.probabilities(), [0.25, 0.75])
+
+    def test_array_constructor_validates(self):
+        with pytest.raises(ValueError):
+            SiteDistribution((0, np.array([1.1, -0.1])))
+        with pytest.raises(ValueError):
+            SiteDistribution((0, np.array([0.5, 0.0])))
+        with pytest.raises(TypeError):
+            SiteDistribution((0, np.array([1.0 + 0.5j])))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from coinwalk import (
@@ -43,6 +44,50 @@ class TestRealKernel:
 
         with pytest.raises(ValueError):
             RealKernel.from_laurent(LaurentOperator({0: 1j}))
+
+    def test_mapping_and_array_constructors_agree(self):
+        a = RealKernel({-1: 0.25, 1: 0.75, 2: 1e-15}, "stochastic")
+        b = RealKernel((-2, np.array([0.0, 0.25, 0.0, 0.75, -1e-15])), "stochastic")
+        for kernel in (a, b):
+            assert kernel.support == (-1, 1)
+            assert list(kernel.items()) == [(-1, 0.25), (1, 0.75)]
+            assert len(kernel) == 2 and kernel.kind == "stochastic"
+        assert a.distance(b) == 0.0
+
+    def test_array_constructor_validates(self):
+        with pytest.raises(ValueError):
+            RealKernel((0, np.array([0.5])), "stochastic")
+        with pytest.raises(ValueError):
+            RealKernel((0, np.array([1.5, -0.5])), "stochastic")
+        with pytest.raises(ValueError):
+            RealKernel((0, np.array([0.5, 0.0])), "null-sum")
+
+    def test_complex_values_rejected(self):
+        from coinwalk import LaurentOperator
+
+        with pytest.raises(TypeError):
+            RealKernel((0, np.array([1 + 1j])))
+        with pytest.raises(TypeError):
+            RealKernel({0: 1 + 1j})
+        with pytest.raises(TypeError):
+            RealKernel.identity() + LaurentOperator.one()
+        with pytest.raises(TypeError):
+            RealKernel.identity() * LaurentOperator.one()
+        with pytest.raises(TypeError):
+            RealKernel.identity().convolve(LaurentOperator.one())
+
+    def test_sum_tolerance_scales_with_norm(self):
+        # Phi^k has an l1 norm growing like 2^k; at k = 15 its sum drifts past
+        # any fixed 1e-12 while staying well inside the rounding bound
+        phi = phi_matrix(WalkConfig.symmetric())
+        power = phi.power(15)
+        assert power.kind == "null-sum"
+        assert abs(power.coefficient_sum) > 1e-12
+
+    def test_apply_matches_distribution_walk(self):
+        k = classical_kernel(0.25)
+        dist = SiteDistribution({0: 0.5, 2: 0.5})
+        assert k.apply(dict(dist.items())) == dict(k.apply_distribution(dist).items())
 
 
 class TestClassicalKernel:
@@ -157,6 +202,12 @@ class TestPhiAndDelayedKernel:
         for deg, val in want.items():
             assert phi.coeff(deg) == pytest.approx(val, abs=1e-12)
         assert abs(phi.coefficient_sum) < 1e-12
+
+    @pytest.mark.parametrize("cd", COIN_INITS)
+    def test_period_one_is_the_one_step_quantum_kernel(self, cd):
+        # the kernel scheme builds both m = 1 and m > 1 through delayed_kernel
+        cfg = WalkConfig(c=cd[0], d=cd[1], p=1.0 / 3.0)
+        assert list(delayed_kernel(cfg, 1).items()) == list(quantum_kernel(cfg, 1).items())
 
     def test_phi_depends_only_on_sum_difference_moduli(self):
         phi_a = phi_matrix(WalkConfig.symmetric())

@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from coinwalk import CoinBlock, E_MINUS, E_PLUS, IDENTITY, LaurentOperator
+from coinwalk import (
+    CoinBlock,
+    E_MINUS,
+    E_PLUS,
+    IDENTITY,
+    LaurentOperator,
+    RealKernel,
+    SiteDistribution,
+)
 from coinwalk.engine import WalkConfig, build_step_operator
+from coinwalk.laurent import TRIM_TOL
 
 ALGEBRA_TOL = 1e-12
 
@@ -15,9 +24,58 @@ def amplitudes():
 
 
 def operators():
-    return st.dictionaries(
+    from_mapping = st.dictionaries(
         st.integers(min_value=-5, max_value=5), amplitudes(), max_size=6
     ).map(LaurentOperator)
+    from_array = st.tuples(
+        st.integers(min_value=-5, max_value=5), st.lists(amplitudes(), max_size=6)
+    ).map(lambda pair: LaurentOperator((pair[0], np.array(pair[1], dtype=complex))))
+    return st.one_of(from_mapping, from_array)
+
+
+class TestConstruction:
+    def test_mapping_and_array_constructors_agree(self):
+        mapping = {-2: 1 + 1j, 0: 5e-15, 1: 0.0, 3: -2j}
+        window = np.array([1 + 1j, 0, 5e-15, 0.0, 0, -2j])
+        a, b = LaurentOperator(mapping), LaurentOperator((-2, window))
+        assert list(a.items()) == list(b.items()) == [(-2, 1 + 1j), (3, -2j)]
+        assert a.support == b.support == (-2, 3)
+        assert len(a) == len(b) == 2
+        assert a.distance(b) == 0.0
+        assert b.lo == -2 and b.values.size == 6
+
+    def test_trimmed_entries_never_reported(self):
+        op = LaurentOperator((4, [TRIM_TOL, 0.5j * TRIM_TOL, 1.0, TRIM_TOL, 2.0, 0.0]))
+        assert op.support == (6, 8)
+        assert op.coeff(4) == 0j and op.coeff(7) == 0j
+        assert (op - op).is_zero and len(op - op) == 0
+
+    def test_values_are_read_only_copies(self):
+        window = np.array([1.0, 2.0], dtype=complex)
+        op = LaurentOperator((0, window))
+        window[0] = 7.0
+        assert op.coeff(0) == 1.0
+        with pytest.raises(ValueError):
+            op.values[0] = 3.0
+
+    @pytest.mark.parametrize("cls", [LaurentOperator, RealKernel, SiteDistribution])
+    @given(data=st.data())
+    def test_scalar_check_agrees_with_mask(self, cls, data):
+        # the scalar pre-check may only pass windows the mask keeps whole
+        pool = [0.0, TRIM_TOL, -TRIM_TOL, 2 * TRIM_TOL, -1e-13, 0.5, -0.25]
+        if cls is LaurentOperator:
+            pool += [(0.6 + 0.8j) * TRIM_TOL, 1e-14j, 0.5j]
+        values = np.array(data.draw(st.lists(st.sampled_from(pool), max_size=8)),
+                          dtype=cls.dtype)
+        seq = cls.__new__(cls)
+        if values.size and seq._clean(values.tolist()):
+            keep = seq._kept(0, values)
+            assert keep[0] and keep[-1] and keep[values != 0].all()
+
+    def test_numpy_scalar_multiplies_as_operator(self):
+        op = np.complex128(2j) * E_PLUS
+        assert isinstance(op, LaurentOperator)
+        assert list(op.items()) == [(1, 2j)]
 
 
 class TestAddition:
