@@ -12,8 +12,10 @@ Three tracing schemes are supported:
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -127,19 +129,38 @@ class SiteDistribution(FiniteSequence):
 
 
 class DensityMatrix:
-    """A walker density matrix on a finite site window.
+    """A walker density matrix stored on its occupied sublattice.
 
-    Stored as a dense complex array over the window together with the site
-    index of the first row/column; entries are addressed by lattice site.
+    Every Kraus generator of an m-step walk has degrees of the parity of m,
+    so from one site every CP iterate is supported on a sublattice
+    ``lo + step*Z`` in both rows and columns, and only that sublattice is
+    stored: row and column r of the stored array are site ``lo + step*r``,
+    and every other entry is zero.  The
+    constructor takes a dense window whose first row/column is site ``lo``
+    and keeps its occupied sublattice.  ``site_range``, ``entry``,
+    ``to_entries``, ``dense`` and ``diagonal`` address the full window.
     """
 
-    __slots__ = ("_mat", "_lo")
+    __slots__ = ("_mat", "_lo", "_step")
 
     def __init__(self, mat: np.ndarray, lo: int, *, validate: bool = True):
         mat = np.asarray(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
-        mat, lo = _trim_window(mat, lo)
+        mat, lo = _trim_window(mat, lo, 1)
+        nonzero = mat != 0
+        occupied = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+        step = int(np.gcd.reduce(occupied)) or 1  # occupied[0] is 0 after the trim
+        self._store(np.ascontiguousarray(mat[::step, ::step]), lo, step, validate)
+
+    @classmethod
+    def _sublattice(cls, mat: np.ndarray, lo: int, step: int) -> "DensityMatrix":
+        """Build from the stored array of the sublattice ``lo + step*Z``, validated."""
+        rho = cls.__new__(cls)
+        rho._store(*_trim_window(mat, lo, step), step, True)
+        return rho
+
+    def _store(self, mat: np.ndarray, lo: int, step: int, validate: bool) -> None:
         if validate:
             if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
                 raise ValueError("density matrix is not Hermitian")
@@ -150,6 +171,7 @@ class DensityMatrix:
         mat.setflags(write=False)
         self._mat = mat
         self._lo = int(lo)
+        self._step = step if mat.shape[0] > 1 else 1
 
     @classmethod
     def delta(cls, site: int = 0) -> "DensityMatrix":
@@ -167,27 +189,30 @@ class DensityMatrix:
 
     @property
     def site_range(self) -> tuple[int, int]:
-        return self._lo, self._lo + self._mat.shape[0] - 1
+        return self._lo, self._lo + self._step * (self._mat.shape[0] - 1)
 
     def entry(self, i: int, j: int) -> complex:
         lo, hi = self.site_range
         if not (lo <= i <= hi and lo <= j <= hi):
             return 0j
-        return self._mat[i - lo, j - lo]
+        r, dr = divmod(i - lo, self._step)
+        c, dc = divmod(j - lo, self._step)
+        return 0j if dr or dc else self._mat[r, c]
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self._mat).real)
+        return float(self._full_diagonal().sum().real)
 
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self._mat - self._mat.conj().T)))
 
     def to_entries(self, tol: float = 0.0) -> dict[tuple[int, int], complex]:
+        """Entries with modulus above ``tol`` (at least 0), keyed by site pair."""
         out = {}
-        lo = self._lo
+        lo, step = self._lo, self._step
         rows, cols = np.nonzero(np.abs(self._mat) > tol)
         for r, c in zip(rows, cols):
-            out[(r + lo, c + lo)] = self._mat[r, c]
+            out[(lo + step * r, lo + step * c)] = self._mat[r, c]
         return out
 
     def diagonal(self) -> SiteDistribution:
@@ -196,7 +221,7 @@ class DensityMatrix:
         Negative floating dust is clamped to zero; anything below -1e-10
         is treated as a genuine positivity failure.
         """
-        diag = np.diag(self._mat).real.copy()
+        diag = self._full_diagonal().real.copy()
         if np.min(diag, initial=0.0) < DIAGONAL_FLOOR:
             raise ValueError(f"diagonal entry {np.min(diag)} below {DIAGONAL_FLOOR}")
         diag[diag < 0.0] = 0.0
@@ -206,10 +231,33 @@ class DensityMatrix:
         return SiteDistribution((self._lo, diag))
 
     def dense(self) -> np.ndarray:
-        return self._mat.copy()
+        """The full window as a dense array; row/column 0 is site ``site_range[0]``."""
+        return self._on_sublattice(1).copy()
+
+    def _full_diagonal(self) -> np.ndarray:
+        """The complex diagonal over the full window.
+
+        Sums over it round as over a dense matrix's diagonal; the zeros off
+        the sublattice change numpy's pairwise grouping.
+        """
+        lo, hi = self.site_range
+        diag = np.zeros(hi - lo + 1, dtype=complex)
+        diag[:: self._step] = np.diag(self._mat)
+        return diag
+
+    def _on_sublattice(self, step: int) -> np.ndarray:
+        """The stored array re-spaced onto the finer sublattice ``lo + step*Z``."""
+        k = self._step // step
+        if k == 1 or self._mat.shape[0] == 1:
+            return self._mat
+        w = (self._mat.shape[0] - 1) * k + 1
+        out = np.zeros((w, w), dtype=complex)
+        out[::k, ::k] = self._mat
+        return out
 
 
-def _trim_window(mat: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
+def _trim_window(mat: np.ndarray, lo: int, step: int) -> tuple[np.ndarray, int]:
+    """Cut zero rows and columns off both ends; row r is site lo + step*r."""
     mask = np.abs(mat) > 0.0
     if not mask.any():
         return np.zeros((1, 1), dtype=complex), lo
@@ -217,7 +265,7 @@ def _trim_window(mat: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
     cols = np.nonzero(mask.any(axis=0))[0]
     a = int(min(rows[0], cols[0]))
     b = int(max(rows[-1], cols[-1]))
-    return np.ascontiguousarray(mat[a : b + 1, a : b + 1]), lo + a
+    return np.ascontiguousarray(mat[a : b + 1, a : b + 1]), lo + step * a
 
 
 # -- step operator and Kraus generators -------------------------------------
@@ -225,7 +273,10 @@ def _trim_window(mat: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
 
 def build_step_operator(config: WalkConfig) -> CoinBlock:
     """The one-step coin-walker unitary as a 2x2 block of shift operators."""
-    u = config.coin_unitary
+    return _step_operator(config.coin_unitary)
+
+
+def _step_operator(u: np.ndarray) -> CoinBlock:
     return CoinBlock(
         ((u[0, 0] * E_PLUS, u[0, 1] * E_PLUS),
          (u[1, 0] * E_MINUS, u[1, 1] * E_MINUS))
@@ -241,12 +292,25 @@ def kraus_pair(config: WalkConfig, n: int) -> tuple[LaurentOperator, LaurentOper
     """
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
-    block = build_step_operator(config).power(n)
-    if block.max_degree() > n:
-        raise AssertionError("operator support escaped the light cone")
+    block = _step_power(config.coin_unitary.tobytes(), n)
     a0 = config.c * block[0, 0] + config.d * block[0, 1]
     a1 = config.c * block[1, 0] + config.d * block[1, 1]
     return a0, a1
+
+
+@functools.lru_cache(maxsize=256)
+def _step_power(coin: bytes, n: int) -> CoinBlock:
+    """The n-th power of the step operator of the coin unitary with these bytes.
+
+    Memoised because the verify suites and the pseudo-memory sums ask for
+    the same few powers thousands of times; blocks are immutable.  The
+    bound holds every power a 200-step pseudo-memory sum needs.
+    """
+    u = np.frombuffer(coin, dtype=complex).reshape(2, 2)
+    block = _step_operator(u).power(n)
+    if block.max_degree() > n:
+        raise AssertionError("operator support escaped the light cone")
+    return block
 
 
 def kraus_delayed(config: WalkConfig, m: int) -> tuple[LaurentOperator, LaurentOperator]:
@@ -265,6 +329,11 @@ def global_trajectory(config: WalkConfig, n: int) -> list[SiteDistribution]:
     Computed by direct evolution of the joint coin-walker amplitudes, a
     deliberately different code path from the Laurent-coefficient kernels.
     """
+    return [_amplitude_distribution(psi, n) for psi in _global_amplitudes(config, n)]
+
+
+def _global_amplitudes(config: WalkConfig, n: int) -> Iterator[np.ndarray]:
+    """Joint amplitudes (coin, site + n) after steps 0..n, one new array per step."""
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
     u = config.coin_unitary
@@ -272,15 +341,14 @@ def global_trajectory(config: WalkConfig, n: int) -> list[SiteDistribution]:
     psi = np.zeros((2, size), dtype=complex)
     psi[0, n] = config.c
     psi[1, n] = config.d
-    out = [_amplitude_distribution(psi, offset=n)]
+    yield psi
     for _ in range(n):
         up = np.zeros(size, dtype=complex)
         down = np.zeros(size, dtype=complex)
         up[1:] = u[0, 0] * psi[0, :-1] + u[0, 1] * psi[1, :-1]
         down[:-1] = u[1, 0] * psi[0, 1:] + u[1, 1] * psi[1, 1:]
         psi = np.stack([up, down])
-        out.append(_amplitude_distribution(psi, offset=n))
-    return out
+        yield psi
 
 
 def _amplitude_distribution(psi: np.ndarray, offset: int) -> SiteDistribution:
@@ -289,7 +357,7 @@ def _amplitude_distribution(psi: np.ndarray, offset: int) -> SiteDistribution:
 
 def global_distribution(config: WalkConfig, n: int) -> SiteDistribution:
     """Distribution after n steps with a single final trace of the coin."""
-    return global_trajectory(config, n)[-1]
+    return _amplitude_distribution(_last(_global_amplitudes(config, n)), n)
 
 
 def prompt_step_probabilities(config: WalkConfig) -> tuple[float, float]:
@@ -302,25 +370,34 @@ def prompt_step_probabilities(config: WalkConfig) -> tuple[float, float]:
 
 def prompt_trajectory(config: WalkConfig, n: int) -> list[SiteDistribution]:
     """Distributions of the promptly traced walk for steps 0..n."""
+    return [SiteDistribution(probs) for probs in _prompt_probabilities(config, n)]
+
+
+def _prompt_probabilities(config: WalkConfig, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Site probabilities ``(lo, values)`` of the prompt walk after steps 0..n."""
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
     right, left = prompt_step_probabilities(config)
     step = np.array([left, right])
     probs = np.array([1.0])
-    lo = 0
-    out = [SiteDistribution.delta(0)]
-    for _ in range(n):
+    yield 0, probs
+    for k in range(1, n + 1):
         probs = np.convolve(probs, step)
-        lo -= 1
         sites = np.zeros(2 * probs.size - 1)
         sites[::2] = probs  # a step changes the site parity
-        out.append(SiteDistribution((lo, sites)))
-    return out
+        yield -k, sites
 
 
 def prompt_distribution(config: WalkConfig, n: int) -> SiteDistribution:
     """Distribution after n steps with the coin traced after every step."""
-    return prompt_trajectory(config, n)[-1]
+    return SiteDistribution(_last(_prompt_probabilities(config, n)))
+
+
+def _last(steps: Iterator):
+    """The final item of a step generator, dropping the others as they come."""
+    for item in steps:
+        pass
+    return item
 
 
 # -- CP-map evolution -------------------------------------------------------
@@ -332,7 +409,15 @@ def cp_apply(
     *,
     completeness_tol: float = 1e-10,
 ) -> DensityMatrix:
-    """Apply the CP map with the given Kraus generators to a density matrix."""
+    """Apply the CP map with the given Kraus generators to a density matrix.
+
+    The result lives on the sublattice whose step is the gcd of rho's step
+    and the differences of the Kraus degrees (2 for the Kraus pair of a
+    walk of any length), and only that sublattice is computed: each term
+    a conj(b) rho, shifted by the degrees of a and b, is added on it in the
+    same order as on the full window, so every stored entry rounds as it
+    would there.  A family of mixed degree parity falls back to step 1.
+    """
     total = LaurentOperator.zero()
     for op in kraus:
         total = total + op.adjoint() * op
@@ -341,20 +426,24 @@ def cp_apply(
         raise KrausCompletenessError(
             f"Kraus completeness violated: residual {defect:.3e}"
         )
-    degrees = [d for op in kraus for d in op.support]
-    dmin, dmax = min(degrees), max(degrees)
-    span = dmax - dmin
-    src = rho.dense()
+    degrees = sorted({d for op in kraus for d in op.support})
+    dmin = degrees[0]
+    rho_step = rho._step if rho._mat.shape[0] > 1 else 0
+    step = math.gcd(rho_step, *(d - dmin for d in degrees)) or 1
+    src = rho._on_sublattice(step)
     w = src.shape[0]
-    out = np.zeros((w + span, w + span), dtype=complex)
+    size = w + (degrees[-1] - dmin) // step
+    out = np.zeros((size, size), dtype=complex)
+    term = np.empty_like(src)
     for op in kraus:
         for d, a in op.items():
             for e, b in op.items():
-                out[d - dmin : d - dmin + w, e - dmin : e - dmin + w] += (
-                    a * np.conj(b)
-                ) * src
-    lo = rho.site_range[0] + dmin
-    return DensityMatrix(out, lo)
+                # coefficient first: the operand order decides how numpy fuses
+                # the complex multiply, hence its rounding
+                np.multiply(a * np.conj(b), src, out=term)
+                r, c = (d - dmin) // step, (e - dmin) // step
+                out[r : r + w, c : c + w] += term
+    return DensityMatrix._sublattice(out, rho.site_range[0] + dmin, step)
 
 
 def cp_walk(config: WalkConfig, m: int, n_iterations: int) -> list[DensityMatrix]:

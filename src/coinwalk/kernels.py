@@ -224,10 +224,14 @@ def binomial_solution(config: WalkConfig, n: int) -> SiteDistribution:
     delta_c = classical_kernel(_require_bias(config))
     phi = phi_matrix(config)
     terms = (phi.power(n - k).convolve(delta_c.power(k)) for k in range(n + 1))
-    lo, acc = window_sum((t.lo, float(math.comb(n, k)) * t.values) for k, t in enumerate(terms))
-    # the alternating binomial sum cancels to scale 1, leaving signed rounding
-    # noise a little above the default distribution tolerances
-    return SiteDistribution((lo, np.where(acc > 1e-11, acc, 0.0)), sum_tol=1e-9)
+    scaled = [(t.lo, float(math.comb(n, k)) * t.values) for k, t in enumerate(terms)]
+    lo, acc = window_sum(scaled)
+    # the alternating binomial sum cancels to scale 1 from terms of scale up to
+    # 3^n, so its total is only good to the rounding bound of the sum of all
+    # terms and then of the window: (n + 1 + len) u sum_k ||C(n,k) term_k||_1
+    mass = sum(float(np.abs(values).sum()) for _, values in scaled)
+    sum_tol = max(1e-9, (n + 1 + acc.size) * UNIT_ROUNDOFF * mass)
+    return SiteDistribution((lo, np.where(acc > 1e-11, acc, 0.0)), sum_tol=sum_tol)
 
 
 def pseudo_memory_reconstruct(config: WalkConfig, n: int) -> SiteDistribution:

@@ -18,6 +18,54 @@ def run(argv, capsys):
 
 SYM_COIN = "c=0.7071067811865476,d=0.7071067811865476i"
 
+#: sha256 of 24-step cp-scheme outputs, keyed "<output> m=<m> p=<p> <coin>".
+#: Recorded from a CP map computed on the full dense window, so they hold the
+#: sublattice storage to the same rounding.
+CP_SHA256 = {
+    "csv m=1 p=0.25 symmetric": "0623ba362ae0255561c192ee1879a83bdc2e23e15198e3bb73b109dbecc8785f",
+    "json m=1 p=0.25 symmetric": "4940abea4cef4ca0d272f424641808d4c70dfa218087df27e6f997fafa07dd8b",
+    "entropy m=1 p=0.25 symmetric": "c3d273cdbe25bd7c1abf53ac23ba20f6ade1d04d7975b90a533ea64c6698f3a8",
+    "csv m=1 p=0.25 c=0,d=1": "0d550f860dc05be4fba3d6075748d180584e5698a5058c7bab558460356af4bd",
+    "json m=1 p=0.25 c=0,d=1": "c98c32c105dc52ed95ed4040f57a45d1a77c0c607ba5a67518b611955bd7326e",
+    "entropy m=1 p=0.25 c=0,d=1": "dc60f4f5d332d278f85b2149e556f5f842f3604dc449327d1738a833f6555f58",
+    "csv m=1 p=0.5 symmetric": "a5fc1f151bbad12c24628ca8443d34b4eee8acd3120ed482a92a8ad085eb0c11",
+    "json m=1 p=0.5 symmetric": "99543b77905b037c7a4714199a0928b13fa114441cc655c4dda7e09535590f16",
+    "entropy m=1 p=0.5 symmetric": "d1d8ff4aced5cd4d5fbbd5296e2d71c6f19345fe81bd0f7d5997c87dca55799d",
+    "csv m=1 p=0.5 c=0,d=1": "fac79e881da712a19fdb9d414de11f1eb0a38db1efb147cc8616593a436a2685",
+    "json m=1 p=0.5 c=0,d=1": "7bfb3f2bfe548e9130cbfb7517d72dd0623cb455ad3107b33cb29cda40d5c4f8",
+    "entropy m=1 p=0.5 c=0,d=1": "dfad9d360acc7d3ba0331e045b0ba5ee01933a25857a4dbf16e19b222218ff44",
+    "csv m=2 p=0.25 symmetric": "1532c3d89a935be47a17396709cf5c3a9ad6933174f4415dabfa207347228cbd",
+    "json m=2 p=0.25 symmetric": "fb3f414f2794b127cb381de1b617a7cb449c85881a5d05a3dc821323c91f755b",
+    "entropy m=2 p=0.25 symmetric": "7c6f3e6c869bcc5eec84661fe06b9e16169f9c8c0ac0013900a2d281827c60bc",
+    "csv m=2 p=0.25 c=0,d=1": "f533391bdca756fb94f74b8a960b687f43c12de85d833bf24aa03a0574e14e6d",
+    "json m=2 p=0.25 c=0,d=1": "3f1d28dd3730439da9263656c2ee72695e983dac1a22324ff001450bca7cd211",
+    "entropy m=2 p=0.25 c=0,d=1": "7a3e35b32402d9c2739d6c40d86eeaf45a69ba57664695c5e91b082fa10a878c",
+    "csv m=2 p=0.5 symmetric": "0f230c979f6c4f723f3351d4d7843e14e8f37c18e77688be6536bb9cab7727d0",
+    "json m=2 p=0.5 symmetric": "bf0ff4eb732b991f91904b2912314ecec6ff3cd80216f149c531a549ac2749ab",
+    "entropy m=2 p=0.5 symmetric": "950580480d40a6bfc0bd24b35788ef9bf3a3749bac317130c00d05838bc0aa35",
+    "csv m=2 p=0.5 c=0,d=1": "450a56c272af554b1a6453458bda86e8b2c8ee3aa8de1037011b56b753196c13",
+    "json m=2 p=0.5 c=0,d=1": "ce02c11e8cb89e966c1277ac76658c9cb4d3f4ce671ab8c77d38c99fcbba2d49",
+    "entropy m=2 p=0.5 c=0,d=1": "4f632f2753bbad762dca5bcc9e17e1029e1cb58a715d176335a69f7019623ae6",
+    "csv m=3 p=0.25 symmetric": "768bbfb44a3ba0f2cf5b797766a1419ce09cbf98fcb17c882f08b33e97ad56c8",
+    "json m=3 p=0.25 symmetric": "e9562e8526bc2b8316255a7e1763fdeafa1c6de945f3b5abf4102a33fe9575a3",
+    "entropy m=3 p=0.25 symmetric": "f2b477ec92afe74345b7fcf1c6bdce4dc75a7511f9f00b60553f8c76a509fe3c",
+    "csv m=3 p=0.25 c=0,d=1": "98ac0a8f34052e5e3ac8ca8c8d66ea5d1a5b75b0090660f227b7a631e56ff252",
+    "json m=3 p=0.25 c=0,d=1": "adf0605b615717fc8d5833c47dd4e29990e98a4fe9f721989acf2e83b8dd697b",
+    "entropy m=3 p=0.25 c=0,d=1": "07138f2f69c62e2645f8b60401ca6ce462e8f78b7ee17877f7df23672ddd8f42",
+    "csv m=3 p=0.5 symmetric": "310fa5acfb332c0cda8a25fadcaada6c33fe4cc75d0219c730931a30f20b8a18",
+    "json m=3 p=0.5 symmetric": "b886c32d3191e7c8aa58289daf0c25ee6b5a0532fbe13f2bc8f6dff297057387",
+    "entropy m=3 p=0.5 symmetric": "711d2b5ba7160a954d04ec52c3388ccde104be9d08b0f06f7fd0622f619845fa",
+    "csv m=3 p=0.5 c=0,d=1": "c1de79b884b1efb515f0dcb0e0a9376d0c04e80cdbf05c9283ccefc11c749da7",
+    "json m=3 p=0.5 c=0,d=1": "f84a26ec6a65eb3473ac06252643942e94184859e400163b54fed7f9ce4538de",
+    "entropy m=3 p=0.5 c=0,d=1": "bc354e9e34c9467d50004328147d69f86bde583a8e4598560c3630d755e246ee",
+}
+CP_OUTPUTS = {
+    "csv": ["simulate", "--emit", "csv"],
+    "json": ["simulate", "--emit", "json"],
+    "entropy": ["analyze", "entropy"],
+}
+CP_COINS = {"symmetric": ["--symmetric"], "c=0,d=1": ["--coin", "c=0,d=1"]}
+
 
 class TestSimulate:
     def test_global_json_step_six(self, capsys):
@@ -78,6 +126,17 @@ class TestSimulate:
             cli.main(["simulate", "--p", "0.5", "--steps", "1",
                       "--out", "/nonexistent-dir/x.csv"])
         assert err.value.code == 3
+
+
+class TestCpByteIdentity:
+    @pytest.mark.parametrize("key", sorted(CP_SHA256))
+    def test_cp_outputs_match_recorded_digests(self, tmp_path, key):
+        output, m, p, coin = key.split()
+        path = tmp_path / "out"
+        argv = CP_OUTPUTS[output] + ["--scheme", "cp", "--m", m[2:], "--p", p[2:],
+                                     *CP_COINS[coin], "--steps", "24", "--out", str(path)]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == CP_SHA256[key]
 
 
 class TestAnalyze:
@@ -204,6 +263,17 @@ class TestVerify:
         assert failed == ["binomial-solution"]
         binomial = next(c for c in report["checks"] if c["name"] == "binomial-solution")
         assert 1e-10 < binomial["max_residual"] < 1e-9
+
+    @pytest.mark.parametrize("steps", ["17", "21"])
+    def test_prop2_beyond_sixteen_steps_writes_report(self, tmp_path, steps):
+        # the binomial sum's own tolerance follows its rounding bound, so it
+        # returns and the check fails with its residual instead of exiting 2
+        path = tmp_path / "prop2.json"
+        code = cli.main(["verify", "prop2", "--max-steps", steps, "--out", str(path)])
+        assert code == 1
+        report = json.loads(path.read_text())
+        failed = [c["name"] for c in report["checks"] if not c["pass"]]
+        assert failed == ["binomial-solution"]
 
     @pytest.mark.parametrize("suite,steps,key", [
         ("all", "12", "verify-all-12|"),

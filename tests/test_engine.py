@@ -29,6 +29,27 @@ from conftest import (
 )
 
 SQ2 = 1.0 / math.sqrt(2.0)
+#: A general unitary coin: a Hadamard coin with complex phases.
+PHASED_COIN = np.array([[1.0, 1j], [1j, 1.0]]) * np.exp(0.3j) * SQ2
+
+
+def dense_cp(rho, kraus):
+    """Window start and dense sum_j A_j rho A_j^dagger, from Laurent dense realizations."""
+    lo, hi = rho.site_range
+    reach = max(abs(d) for op in kraus for d in op.support)
+    window = range(lo - reach, hi + reach + 1)
+    full = np.zeros((len(window), len(window)), dtype=complex)
+    full[reach : reach + hi - lo + 1, reach : reach + hi - lo + 1] = rho.dense()
+    mats = [op.to_dense(window) for op in kraus]
+    return lo - reach, sum(a @ full @ a.conj().T for a in mats)
+
+
+def window_of(rho, lo, size):
+    """rho's dense matrix placed in the window of ``size`` sites from ``lo``."""
+    out = np.zeros((size, size), dtype=complex)
+    a, b = rho.site_range
+    out[a - lo : b - lo + 1, a - lo : b - lo + 1] = rho.dense()
+    return out
 
 
 class TestWalkConfig:
@@ -78,6 +99,20 @@ class TestKrausPair:
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):
             kraus_pair(WalkConfig.symmetric(), -1)
+
+    def test_memoised_powers_keep_coins_apart(self):
+        # equal biases, different unitaries: each pair matches its own block power
+        from coinwalk import build_step_operator
+
+        configs = [WalkConfig(c=SQ2, d=1j * SQ2, p=0.5),
+                   WalkConfig(c=SQ2, d=1j * SQ2, coin=PHASED_COIN),
+                   WalkConfig(c=1.0, d=0.0, p=0.5)]
+        for _ in range(2):
+            for cfg in configs:
+                block = build_step_operator(cfg).power(7)
+                a0, a1 = kraus_pair(cfg, 7)
+                assert a0.distance(cfg.c * block[0, 0] + cfg.d * block[0, 1]) == 0.0
+                assert a1.distance(cfg.c * block[1, 0] + cfg.d * block[1, 1]) == 0.0
 
     @pytest.mark.parametrize("p", P_GRID)
     @pytest.mark.parametrize("cd", COIN_INITS)
@@ -198,6 +233,45 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix.from_entries({(0, 0): 0.5})
 
+    def test_sublattice_round_trip(self):
+        cfg = WalkConfig(c=0.6, d=0.8, coin=PHASED_COIN)
+        rho = cp_walk(cfg, 2, 3)[-1]
+        assert rho._step == 2
+        lo, hi = rho.site_range
+        assert (lo, hi) == (-6, 6)
+        dense = rho.dense()
+        assert dense.shape == (13, 13)
+        assert not dense[1::2].any() and not dense[:, 1::2].any()
+        entries = rho.to_entries()
+        assert entries == {(lo + r, lo + c): dense[r, c] for r, c in zip(*np.nonzero(dense))}
+        for i in range(lo - 2, hi + 3):
+            for j in range(lo - 2, hi + 3):
+                inside = lo <= i <= hi and lo <= j <= hi
+                assert rho.entry(i, j) == (dense[i - lo, j - lo] if inside else 0.0)
+        again = DensityMatrix(dense, lo)
+        assert again._step == 2 and again.site_range == (lo, hi)
+        assert np.array_equal(again.dense(), dense)
+        assert again.to_entries() == entries
+        # sums over the diagonal round as over the dense window's
+        for rho in cp_walk(WalkConfig.symmetric(0.25), 2, 12):
+            assert rho.trace == np.trace(rho.dense()).real
+
+    def test_from_entries_finds_sublattice(self):
+        rho = DensityMatrix.from_entries({(1, 1): 0.5, (4, 4): 0.5, (1, 4): 0.5, (4, 1): 0.5})
+        assert rho._step == 3 and rho.site_range == (1, 4)
+        assert rho.entry(1, 4) == 0.5 and rho.entry(2, 2) == 0.0
+        assert rho.diagonal().support == (1, 4)
+
+    def test_trim_offset_scales_with_step(self):
+        # stored rows 0 and 1 are zero: the window starts two sublattice steps up
+        mat = np.zeros((4, 4), dtype=complex)
+        mat[2, 2] = mat[3, 3] = 0.5
+        mat[2, 3], mat[3, 2] = 0.25j, -0.25j
+        rho = DensityMatrix._sublattice(mat, -7, 3)
+        assert rho.site_range == (-1, 2)
+        assert rho.entry(-1, 2) == 0.25j and rho.entry(2, -1) == -0.25j
+        assert rho.diagonal().support == (-1, 2)
+
     def test_diagonal_clamps_dust(self):
         rho = DensityMatrix(
             np.array([[1.0 + 1e-13, 0], [0, -1e-13]], dtype=complex), 0
@@ -224,6 +298,32 @@ class TestCpApply:
     def test_period_two_off_diagonal(self, symmetric):
         out = cp_apply(DensityMatrix.delta(), kraus_delayed(symmetric, 2))
         assert out.entry(0, 2) == pytest.approx(-0.25j, abs=1e-12)
+
+    @pytest.mark.parametrize("iters", [0, 1, 3])
+    def test_mixed_parity_family_matches_dense(self, symmetric, iters):
+        # a step-2 rho under a complete family of odd degree difference: step 1
+        half = [LaurentOperator({0: SQ2}), LaurentOperator({1: SQ2})]
+        rho = cp_walk(symmetric, 2, iters)[-1]
+        out = cp_apply(rho, half)
+        lo, want = dense_cp(rho, half)
+        assert np.abs(window_of(out, lo, want.shape[0]) - want).max() < 1e-15
+        assert abs(out.trace - 1.0) < 1e-12
+
+    def test_step_three_rho_under_step_two_family(self, symmetric):
+        # gcd(3, 2) = 1: the result needs every site of the window
+        rho = DensityMatrix.from_entries({(1, 1): 0.5, (4, 4): 0.5, (1, 4): 0.5j, (4, 1): -0.5j})
+        kraus = kraus_pair(symmetric, 1)
+        out = cp_apply(rho, kraus)
+        lo, want = dense_cp(rho, kraus)
+        assert np.abs(window_of(out, lo, want.shape[0]) - want).max() < 1e-15
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_kraus_pair_matches_dense(self, m):
+        cfg = WalkConfig(c=0.6, d=0.8j, coin=PHASED_COIN)
+        rho = cp_walk(cfg, m, 2)[-1]
+        out = cp_apply(rho, kraus_pair(cfg, m))
+        lo, want = dense_cp(rho, kraus_pair(cfg, m))
+        assert np.abs(window_of(out, lo, want.shape[0]) - want).max() < 1e-15
 
     def test_trace_and_hermiticity_over_many_steps(self, symmetric):
         kraus = kraus_delayed(symmetric, 1)
@@ -259,6 +359,17 @@ class TestCpWalk:
         want = dense_delayed_diagonals(symmetric, m, iters)
         for a, b in zip(got, want):
             assert a.distance(b) < 1e-10
+
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cd", COIN_INITS)
+    def test_general_coin_agrees_with_dense_oracle(self, m, cd):
+        cfg = WalkConfig(c=cd[0], d=cd[1], coin=PHASED_COIN)
+        iters = 3
+        got = [rho.diagonal() for rho in cp_walk(cfg, m, iters)]
+        want = dense_delayed_diagonals(cfg, m, iters)
+        for a, b in zip(got, want):
+            assert a.distance(b) < 1e-12
 
 
 class TestSiteDistribution:

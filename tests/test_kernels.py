@@ -273,6 +273,13 @@ class TestBinomialSolution:
         walk = kernel_walk(delayed_kernel(symmetric), n)
         assert binomial_solution(symmetric, n).distance(walk[n]) < 1e-10
 
+    @pytest.mark.parametrize("n", [17, 21])
+    def test_cancellation_noise_beyond_sixteen_steps_is_returned(self, symmetric, n):
+        # the total drifts past 1e-9 from n = 17; the tolerance follows the
+        # rounding bound of the sum, so the noisy distribution comes back
+        walk = kernel_walk(delayed_kernel(symmetric), n)
+        assert 1e-10 < binomial_solution(symmetric, n).distance(walk[n]) < 1e-6
+
 
 class TestPseudoMemory:
     def test_three_steps_symmetric_all_reshufflings_vanish(self, symmetric):
