@@ -133,16 +133,16 @@ def compare_majorization(
 
 
 def _crossings(diff: np.ndarray) -> tuple[int, ...]:
-    """Indices where the partial-sum difference strictly changes sign."""
+    """Indices where the partial-sum difference strictly changes sign.
+
+    Entries within ``PARTIAL_SUM_TOL`` of zero have no sign and are
+    skipped: an index is a crossing when its sign is opposite to that of
+    the nearest signed entry before it.  Returned as Python ints.
+    """
     signs = np.where(diff > PARTIAL_SUM_TOL, 1, np.where(diff < -PARTIAL_SUM_TOL, -1, 0))
-    out = []
-    prev = 0
-    for idx, s in enumerate(signs):
-        if s != 0:
-            if prev != 0 and s != prev:
-                out.append(idx)
-            prev = s
-    return tuple(out)
+    signed = np.flatnonzero(signs)
+    changes = np.flatnonzero(np.diff(signs[signed]))
+    return tuple(signed[changes + 1].tolist())
 
 
 def entropy_series(

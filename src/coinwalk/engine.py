@@ -333,7 +333,15 @@ def global_trajectory(config: WalkConfig, n: int) -> list[SiteDistribution]:
 
 
 def _global_amplitudes(config: WalkConfig, n: int) -> Iterator[np.ndarray]:
-    """Joint amplitudes (coin, site + n) after steps 0..n, one new array per step."""
+    """Joint amplitudes (coin, site + n) after steps 0..n, one new array per step.
+
+    Each step allocates one ``(2, 2n + 1)`` array, which is yielded and
+    never written again, so callers may keep it.  Each row is one coin
+    product written into it with ``out=`` plus the second product from a
+    scratch buffer shared by all steps; the coefficient stays the first
+    operand of every multiply, because numpy's complex multiply rounds
+    differently with the operands swapped.
+    """
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
     u = config.coin_unitary
@@ -342,12 +350,18 @@ def _global_amplitudes(config: WalkConfig, n: int) -> Iterator[np.ndarray]:
     psi[0, n] = config.c
     psi[1, n] = config.d
     yield psi
+    scratch = np.empty(size - 1, dtype=complex)
     for _ in range(n):
-        up = np.zeros(size, dtype=complex)
-        down = np.zeros(size, dtype=complex)
-        up[1:] = u[0, 0] * psi[0, :-1] + u[0, 1] * psi[1, :-1]
-        down[:-1] = u[1, 0] * psi[0, 1:] + u[1, 1] * psi[1, 1:]
-        psi = np.stack([up, down])
+        new = np.empty((2, size), dtype=complex)
+        up, down = new[0, 1:], new[1, :-1]
+        new[0, 0] = new[1, -1] = 0.0
+        np.multiply(u[0, 0], psi[0, :-1], out=up)
+        np.multiply(u[0, 1], psi[1, :-1], out=scratch)
+        np.add(up, scratch, out=up)
+        np.multiply(u[1, 0], psi[0, 1:], out=down)
+        np.multiply(u[1, 1], psi[1, 1:], out=scratch)
+        np.add(down, scratch, out=down)
+        psi = new
         yield psi
 
 

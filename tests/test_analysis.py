@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from coinwalk import (
     RealKernel,
@@ -16,7 +17,7 @@ from coinwalk import (
     shannon_entropy,
     standard_deviation,
 )
-from coinwalk.analysis import Verdict
+from coinwalk.analysis import PARTIAL_SUM_TOL, Verdict, _crossings
 
 
 def uniform(n, offset=0):
@@ -93,6 +94,44 @@ class TestLorenzCurve:
         assert np.all(np.diff(curve.gammas) >= -1e-15)
         # concave: sorted-nonincreasing increments
         assert np.all(np.diff(curve.gammas, 2) <= 1e-12)
+
+
+def crossings_loop(diff):
+    """Sequential reference for ``_crossings``: each sign change past the zeros."""
+    out = []
+    prev = 0
+    for idx, x in enumerate(diff):
+        s = 1 if x > PARTIAL_SUM_TOL else -1 if x < -PARTIAL_SUM_TOL else 0
+        if s != 0:
+            if prev != 0 and s != prev:
+                out.append(idx)
+            prev = s
+    return tuple(out)
+
+
+#: Partial-sum differences: zeros, values at and within the tolerance, and
+#: values just past it, in runs.
+_DIFF_VALUES = st.one_of(
+    st.just(0.0),
+    st.sampled_from([PARTIAL_SUM_TOL, -PARTIAL_SUM_TOL, 2 * PARTIAL_SUM_TOL,
+                     -2 * PARTIAL_SUM_TOL, np.nextafter(PARTIAL_SUM_TOL, 1.0),
+                     -np.nextafter(PARTIAL_SUM_TOL, 1.0)]),
+    st.floats(-PARTIAL_SUM_TOL, PARTIAL_SUM_TOL),
+    st.floats(-1.0, 1.0),
+)
+_DIFF_RUNS = st.lists(st.tuples(_DIFF_VALUES, st.integers(1, 6)), max_size=40)
+
+
+class TestCrossings:
+    @given(_DIFF_RUNS)
+    @example([(1.0, 1), (0.0, 3), (-1.0, 1)])
+    @example([(0.0, 4)])
+    @example([(-0.5, 2), (PARTIAL_SUM_TOL, 2), (0.5, 1), (-PARTIAL_SUM_TOL, 1), (-0.5, 1)])
+    def test_matches_sequential_loop(self, runs):
+        diff = np.array([x for x, k in runs for _ in range(k)], dtype=float)
+        got = _crossings(diff)
+        assert got == crossings_loop(diff)
+        assert all(type(i) is int for i in got)
 
 
 class TestCompareMajorization:

@@ -4,8 +4,9 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from coinwalk import cli
+from coinwalk import SiteDistribution, cli
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -66,6 +67,37 @@ CP_OUTPUTS = {
 }
 CP_COINS = {"symmetric": ["--symmetric"], "c=0,d=1": ["--coin", "c=0,d=1"]}
 
+#: sha256 of 40-step global, prompt and kernel outputs, keyed
+#: "<output>-<scheme> p=<p> <coin>".  Recorded while every CSV value was
+#: printed by its own ``_fmt`` call and the global walk stacked fresh rows.
+TRAJECTORY_SHA256 = {
+    "csv-global p=0.25 symmetric": "6e557ee0bafa770304668701947000f5a4a8c5d537a9eed65cbd4a945c624004",
+    "csv-global p=0.25 c=0,d=1": "67bd9e879f755c19dabdded686216703fdd3179f13be54130a1c9fbf5d4ab280",
+    "csv-global p=0.5 symmetric": "4464975473eb8c995a34c94cd56c4fe9b2234f1c11b96b0f363830e940baa25d",
+    "csv-global p=0.5 c=0,d=1": "31ca43b9f5fde00c0d789e058caae4bfe1562dcfc1264442083e95789dc7d96c",
+    "csv-prompt p=0.25 symmetric": "b53af2a21cb8ff419b000ad92217f9d4b444fe3036b093e4ad98084f432f678f",
+    "csv-prompt p=0.25 c=0,d=1": "af5cfe6fd6f182ecd326b8402423679dba05358e3619c2155aaae418f3453be8",
+    "csv-prompt p=0.5 symmetric": "c72cfa489d6af3c91db789e55ed37bdddf936bc39dc5de7f4e9b30f4461c05fd",
+    "csv-prompt p=0.5 c=0,d=1": "c72cfa489d6af3c91db789e55ed37bdddf936bc39dc5de7f4e9b30f4461c05fd",
+    "csv-kernel p=0.25 symmetric": "a5f0303831cb29122835880fc70e4e9d4413e8ff5ee943d045006b7c5e15a2a9",
+    "csv-kernel p=0.25 c=0,d=1": "0744c7ae830aa126323ec3ed0ae8ed5e1b8914ee4c1898acc1c82e473fe270f8",
+    "csv-kernel p=0.5 symmetric": "db6ef46d3912c23a6432d1cbf2a9a4ff9da8290419ef7fe7d9cd7c13feca183c",
+    "csv-kernel p=0.5 c=0,d=1": "4e26ff382edac828c11d0769b4a1688dac92104ca6ac20f51c356d2bdaf61d93",
+    "lorenz-global p=0.25 symmetric": "6a7d66852fc877cbbb743746bc825b1a0617bc6ef2d635366b13c7c1bf68d18e",
+    "lorenz-global p=0.25 c=0,d=1": "8e9a7910bd8307fd317a34bc7b8d9e5d362abe0dcd2434d308e3342a41e4303b",
+    "lorenz-global p=0.5 symmetric": "69e14d3a81993c70bbdc9cc3a33ca0b5342cb194f0b9b93099ba10da913c9bd4",
+    "lorenz-global p=0.5 c=0,d=1": "a9edb170b614a543287c29e4286c95c618fb43147fc35e044164656a368a2ead",
+    "majorize-global p=0.25 symmetric": "0d10495f01daaf924bfdb152513fb5535f3e94016b216846cd6decbf356ee257",
+    "majorize-global p=0.25 c=0,d=1": "459c3a0e06116ec054e19e2e887a56a6a532d5415f97df0cc36adc20a3561683",
+    "majorize-global p=0.5 symmetric": "7fb46260fa6f050110fcb9560441fe889c61c5b18142140a564a934585e3fd4f",
+    "majorize-global p=0.5 c=0,d=1": "729e16fdb895958cb2d9033ae22d1bd35b50580a320be27e8c4e052e5bc6cd11",
+}
+TRAJECTORY_OUTPUTS = {
+    "csv": ["simulate", "--emit", "csv"],
+    "lorenz": ["analyze", "lorenz"],
+    "majorize": ["analyze", "majorize"],
+}
+
 
 class TestSimulate:
     def test_global_json_step_six(self, capsys):
@@ -116,6 +148,30 @@ class TestSimulate:
             cli.main(["simulate", "--scheme", "global", "--steps", "3"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--steps", "5"],
+        ["analyze", "entropy", "--steps", "5"],
+        ["analyze", "lorenz", "--coin", "c=0,d=1", "--steps", "5"],
+    ])
+    def test_missing_p_says_why(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --p is required unless --symmetric is given\n"
+        assert captured.out == ""
+
+    def test_failing_trajectory_writes_no_file(self, tmp_path, monkeypatch):
+        def failing(config, scheme, steps, m):
+            yield SiteDistribution.delta()
+            raise ValueError("probabilities sum to 2.0, not 1")
+
+        monkeypatch.setattr(cli, "walk_trajectory", failing)
+        path = tmp_path / "walk.csv"
+        code = cli.main(["simulate", "--p", "0.5", "--steps", "3", "--out", str(path)])
+        assert code == 2
+        assert not path.exists()
+
     def test_negative_steps_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["simulate", "--p", "0.5", "--steps", "-1"])
@@ -137,6 +193,70 @@ class TestCpByteIdentity:
                                      *CP_COINS[coin], "--steps", "24", "--out", str(path)]
         assert cli.main(argv) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == CP_SHA256[key]
+
+
+class TestTrajectoryByteIdentity:
+    @pytest.mark.parametrize("key", sorted(TRAJECTORY_SHA256))
+    def test_outputs_match_recorded_digests(self, tmp_path, key):
+        name, p, coin = key.split()
+        output, scheme = name.split("-")
+        path = tmp_path / "out"
+        argv = TRAJECTORY_OUTPUTS[output] + ["--scheme", scheme, "--p", p[2:],
+                                             *CP_COINS[coin], "--steps", "40",
+                                             "--out", str(path)]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == TRAJECTORY_SHA256[key]
+
+    def test_long_global_csv_matches_benchmark_digest(self, tmp_path):
+        # the benchmark's recorded sha256 of this 1200-step trajectory (read only)
+        recorded = json.loads(
+            (REPO / "perfbench" / "reference" / "cli_sha256.json").read_text()
+        )
+        path = tmp_path / "walk.csv"
+        cli.main(["simulate", "--scheme", "global", "--steps", "1200", "--emit", "csv",
+                  "--p", "0.5", "--symmetric", "--out", str(path)])
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == recorded["simulate-global-csv|p=0.5,coin=symmetric"]
+
+
+#: Floats whose 17-digit forms are edge cases: signed zero, the smallest
+#: subnormal, the float below 1, exponent forms and huge magnitudes.
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1 - 2**-53,
+                1e-05, 1e-4, 1e16, 1.7976931348623157e308, 0.1, 1.0 / 3.0]
+_ANY_FLOAT = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False))
+
+
+class TestRows:
+    @given(st.integers(0, 5000),
+           st.lists(st.tuples(st.integers(-10**6, 10**6), _ANY_FLOAT), max_size=30))
+    @example(3, [(s, x) for s, x in enumerate(_EDGE_FLOATS)])
+    @example(0, [])
+    def test_site_rows_match_per_value_lines(self, step, rows):
+        sites = [s for s, _ in rows]
+        probs = [x for _, x in rows]
+        old = "".join(f"{step},{site},{cli._fmt(p)}\n" for site, p in rows)
+        assert cli._rows(step, "%d,%.17g", sites, probs) == old
+
+    @given(st.integers(0, 5000), st.lists(st.tuples(_ANY_FLOAT, _ANY_FLOAT), max_size=30))
+    @example(7, list(zip(_EDGE_FLOATS, reversed(_EDGE_FLOATS))))
+    def test_lorenz_rows_match_per_value_lines(self, step, pairs):
+        fractions = [f for f, _ in pairs]
+        gammas = [g for _, g in pairs]
+        old = "".join(f"{step},{n},{cli._fmt(f)},{cli._fmt(g)}\n"
+                      for n, (f, g) in enumerate(pairs))
+        got = cli._rows(step, "%d,%.17g,%.17g", range(len(pairs)), fractions, gammas)
+        assert got == old
+
+
+class TestWrite:
+    @pytest.mark.parametrize("text", ["", "a", "0,1,0.5\n" * 5, "x" * 21])
+    def test_chunked_output_reassembles(self, tmp_path, capsys, monkeypatch, text):
+        monkeypatch.setattr(cli, "_WRITE_CHUNK", 7)
+        path = tmp_path / "out"
+        cli._write(str(path), text)
+        cli._write("-", text)
+        assert path.read_text() == text
+        assert capsys.readouterr().out == text
 
 
 class TestAnalyze:

@@ -18,6 +18,7 @@ from coinwalk import (
     prompt_distribution,
     prompt_trajectory,
 )
+from coinwalk.engine import _global_amplitudes
 from coinwalk.laurent import IDENTITY
 
 from conftest import (
@@ -184,6 +185,27 @@ class TestGlobalDistribution:
     def test_parity_support(self, symmetric):
         for n, dist in enumerate(global_trajectory(symmetric, 25)):
             assert all(abs(s) <= n and (s - n) % 2 == 0 for s in dist.support)
+
+    @pytest.mark.parametrize("cfg", [
+        WalkConfig.symmetric(0.25),
+        WalkConfig(c=0.0, d=1.0, p=1.0 / 3.0),
+        WalkConfig(c=0.6, d=0.8j, p=0.75),
+        WalkConfig(c=SQ2, d=-SQ2, coin=PHASED_COIN),
+    ])
+    def test_amplitudes_match_stacked_rows_bitwise(self, cfg):
+        # reference: each row summed from fresh temporaries, then stacked;
+        # stepping through one scratch buffer must round the same
+        u = cfg.coin_unitary
+        n = 30
+        kept = list(_global_amplitudes(cfg, n))
+        psi = kept[0]
+        for got in kept[1:]:
+            up = np.zeros(2 * n + 1, dtype=complex)
+            down = np.zeros(2 * n + 1, dtype=complex)
+            up[1:] = u[0, 0] * psi[0, :-1] + u[0, 1] * psi[1, :-1]
+            down[:-1] = u[1, 0] * psi[0, 1:] + u[1, 1] * psi[1, 1:]
+            psi = np.stack([up, down])
+            assert got.tobytes() == psi.tobytes()
 
 
 class TestPromptDistribution:
