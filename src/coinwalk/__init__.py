@@ -3,94 +3,27 @@
 Exact simulation of coin-walker walks under prompt, global, and delayed
 coin-tracing schemes, the doubly stochastic kernels that drive their site
 distributions, and entropy/majorization/moment analyses.
+
+The package namespace holds the entry points of the README's quick start;
+everything else is imported from its module (``coinwalk.engine``,
+``coinwalk.kernels``, ``coinwalk.analysis``, ``coinwalk.laurent``,
+``coinwalk.verify``).
 """
 
-from .analysis import (
-    EntropySeries,
-    LorenzCurve,
-    MajorizationVerdict,
-    Verdict,
-    compare_majorization,
-    entropy_series,
-    lorenz_curve,
-    moment,
-    shannon_entropy,
-    standard_deviation,
-)
-from .engine import (
-    DensityMatrix,
-    KrausCompletenessError,
-    SiteDistribution,
-    WalkConfig,
-    build_step_operator,
-    coin_matrix,
-    cp_apply,
-    cp_walk,
-    global_distribution,
-    global_trajectory,
-    kraus_delayed,
-    kraus_pair,
-    prompt_distribution,
-    prompt_trajectory,
-)
-from .kernels import (
-    IncompatibleCoinError,
-    RealKernel,
-    binomial_solution,
-    classical_kernel,
-    delayed_kernel,
-    kernel_walk,
-    mixing_matrix,
-    phi_matrix,
-    pseudo_memory_reconstruct,
-    quantum_kernel,
-    reshuffling_matrix,
-)
-from .laurent import CoinBlock, E_MINUS, E_PLUS, IDENTITY, LaurentOperator
-from .verify import run_suite
+from .analysis import compare_majorization, shannon_entropy
+from .engine import WalkConfig, cp_walk, global_distribution
+from .kernels import delayed_kernel, kernel_walk, pseudo_memory_reconstruct, quantum_kernel
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoinBlock",
-    "DensityMatrix",
-    "EntropySeries",
-    "E_MINUS",
-    "E_PLUS",
-    "IDENTITY",
-    "IncompatibleCoinError",
-    "KrausCompletenessError",
-    "LaurentOperator",
-    "LorenzCurve",
-    "MajorizationVerdict",
-    "RealKernel",
-    "SiteDistribution",
-    "Verdict",
     "WalkConfig",
-    "binomial_solution",
-    "build_step_operator",
-    "classical_kernel",
-    "coin_matrix",
     "compare_majorization",
-    "cp_apply",
     "cp_walk",
     "delayed_kernel",
-    "entropy_series",
     "global_distribution",
-    "global_trajectory",
     "kernel_walk",
-    "kraus_delayed",
-    "kraus_pair",
-    "lorenz_curve",
-    "mixing_matrix",
-    "moment",
-    "phi_matrix",
-    "prompt_distribution",
-    "prompt_trajectory",
     "pseudo_memory_reconstruct",
     "quantum_kernel",
-    "reshuffling_matrix",
-    "run_suite",
     "shannon_entropy",
-    "standard_deviation",
 ]

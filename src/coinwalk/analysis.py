@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -12,6 +12,8 @@ from .engine import SiteDistribution
 
 PARTIAL_SUM_TOL = 1e-12
 DESCENT_TOL = 1e-12
+#: Longest stride of the increasing-run scan in :func:`entropy_series`.
+MAX_STRIDE = 6
 
 
 class Verdict(enum.Enum):
@@ -64,12 +66,7 @@ class EntropySeries:
 
 def shannon_entropy(dist: SiteDistribution) -> float:
     """Natural-log Shannon entropy; zero-probability sites contribute nothing."""
-    probs = dist.probabilities()
-    if probs.size == 0:
-        return 0.0
-    if np.min(probs) < -1e-12:
-        raise ValueError("distribution has a negative probability")
-    probs = probs[probs > 0.0]
+    probs = dist.probabilities()  # the stored positive entries only
     return float(-np.sum(probs * np.log(probs)))
 
 
@@ -88,40 +85,53 @@ def standard_deviation(dist: SiteDistribution) -> float:
     return float(np.sqrt(max(var, 0.0)))
 
 
-def _sorted_padded(dist: SiteDistribution, slots: int | None = None) -> np.ndarray:
-    probs = np.sort(dist.probabilities())[::-1]
-    if slots is not None:
-        if slots < probs.size:
-            raise ValueError(f"cannot pad {probs.size} probabilities into {slots} slots")
-        probs = np.concatenate([probs, np.zeros(slots - probs.size)])
-    return probs
+def _partial_sums(dist: SiteDistribution) -> np.ndarray:
+    """Partial sums of the probabilities sorted into nonincreasing order."""
+    return np.cumsum(np.sort(dist.probabilities())[::-1])
 
 
-def lorenz_curve(dist: SiteDistribution, slots: int | None = None) -> LorenzCurve:
-    """Lorenz curve of a distribution, optionally zero-padded to ``slots``.
+def lorenz_curve(dist: SiteDistribution) -> LorenzCurve:
+    """Lorenz curve of a distribution over the slots of its support.
 
-    Zero-probability (structural parity) sites carry no mass and are never
-    part of the support, so padding only appends flat trailing segments.
+    Zero-probability (structural parity) sites are never part of the
+    support; curves of unequal length compare as in :func:`_verdict`.
     """
-    probs = _sorted_padded(dist, slots)
-    n = probs.size
-    gammas = np.concatenate([[0.0], np.cumsum(probs)])
+    gammas = np.concatenate([[0.0], _partial_sums(dist)])
     gammas[-1] = 1.0
+    n = gammas.size - 1
     return LorenzCurve(np.arange(n + 1) / n, gammas)
 
 
-def compare_majorization(
-    p: SiteDistribution, q: SiteDistribution
-) -> MajorizationVerdict:
-    """Decide the majorization relation between two distributions.
+def compare_majorization(p: SiteDistribution, q: SiteDistribution) -> MajorizationVerdict:
+    """The majorization relation of two distributions, padded as in :func:`_verdict`."""
+    return _verdict(_partial_sums(p), _partial_sums(q))
 
-    Supports of different sizes are zero-padded to a common slot count before
-    sorting, the standard convention for probability vectors of unequal
-    length.
+
+def majorization_chain(trajectory: Iterable[SiteDistribution]) -> list[MajorizationVerdict]:
+    """Entry n is ``compare_majorization(trajectory[n], trajectory[n + 1])``.
+
+    Each distribution is sorted once, and only the previous step's partial
+    sums are held.  Padding is as in :func:`_verdict`.
     """
-    slots = max(len(p), len(q))
-    cp = np.cumsum(_sorted_padded(p, slots))
-    cq = np.cumsum(_sorted_padded(q, slots))
+    sums = map(_partial_sums, trajectory)
+    prev = next(sums, None)
+    verdicts = []
+    for current in sums:
+        verdicts.append(_verdict(prev, current))
+        prev = current
+    return verdicts
+
+
+def _verdict(cp: np.ndarray, cq: np.ndarray) -> MajorizationVerdict:
+    """The majorization relation of two nonempty partial-sum vectors.
+
+    Vectors of unequal length follow the standard convention of zero-padding
+    the shorter distribution.  Adding a 0.0 slot leaves a partial sum
+    bitwise unchanged, so the shorter vector repeats its last partial sum.
+    """
+    if cp.size != cq.size:
+        size = max(cp.size, cq.size)
+        cp, cq = (np.append(c, np.full(size - c.size, c[-1])) for c in (cp, cq))
     diff = cp - cq
     if np.all(np.abs(diff) <= PARTIAL_SUM_TOL):
         return MajorizationVerdict(Verdict.EQUAL)
@@ -145,9 +155,7 @@ def _crossings(diff: np.ndarray) -> tuple[int, ...]:
     return tuple(signed[changes + 1].tolist())
 
 
-def entropy_series(
-    trajectory: Sequence[SiteDistribution], max_stride: int = 6
-) -> EntropySeries:
+def entropy_series(trajectory: Sequence[SiteDistribution]) -> EntropySeries:
     """Entropies along a trajectory with slope, descents, and increasing runs."""
     if not trajectory:
         raise ValueError("trajectory must be nonempty")
@@ -163,7 +171,7 @@ def entropy_series(
     )
     runs = {
         stride: _longest_increasing_run(entropies, stride)
-        for stride in range(1, min(max_stride, max(entropies.size - 1, 1)) + 1)
+        for stride in range(1, min(MAX_STRIDE, max(entropies.size - 1, 1)) + 1)
     }
     return EntropySeries(entropies, slope, descents, runs)
 

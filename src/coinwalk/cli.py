@@ -222,8 +222,7 @@ def cmd_analyze(args) -> int:
     elif args.which == "majorize":
         trajectory = walk_trajectory(config, args.scheme, args.steps, args.m)
         lines = ["step_a,step_b,verdict,crossings"]
-        for n in range(len(trajectory) - 1):
-            verdict = analysis.compare_majorization(trajectory[n], trajectory[n + 1])
+        for n, verdict in enumerate(analysis.majorization_chain(trajectory)):
             crossings = ";".join(str(i) for i in verdict.crossings)
             lines.append(f"{n},{n + 1},{verdict.relation},{crossings}")
         _write(args.out, "\n".join(lines) + "\n")

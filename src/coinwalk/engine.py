@@ -19,26 +19,20 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .laurent import IDENTITY, CoinBlock, E_MINUS, E_PLUS, FiniteSequence, LaurentOperator
+from .laurent import IDENTITY, ZERO, CoinBlock, E_MINUS, E_PLUS, FiniteSequence, LaurentOperator
 
 #: Normalization slack of the initial coin state, |c|^2 + |d|^2 - 1.
 NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
+#: Largest coefficient deviation of sum_j A_j^dagger A_j from the identity.
+COMPLETENESS_TOL = 1e-10
 NEGATIVE_DUST = 1e-12
 DIAGONAL_FLOOR = -1e-10
 
 
 class KrausCompletenessError(ValueError):
     """Raised when a proposed Kraus family fails the completeness relation."""
-
-
-def coin_matrix(p: float) -> np.ndarray:
-    """The one-parameter real unitary coin [[sqrt(p), sqrt(1-p)], [sqrt(1-p), -sqrt(p)]]."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"coin bias must lie in [0, 1], got {p}")
-    sp, sq = np.sqrt(p), np.sqrt(1.0 - p)
-    return np.array([[sp, sq], [sq, -sp]], dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +73,11 @@ class WalkConfig:
 
     @property
     def coin_unitary(self) -> np.ndarray:
+        """``coin``, or the one-parameter coin [[sqrt(p), sqrt(1-p)], [sqrt(1-p), -sqrt(p)]]."""
         if self.coin is not None:
             return self.coin
-        return coin_matrix(self.p)
+        sp, sq = np.sqrt(self.p), np.sqrt(1.0 - self.p)
+        return np.array([[sp, sq], [sq, -sp]], dtype=complex)
 
 
 class SiteDistribution(FiniteSequence):
@@ -143,7 +139,7 @@ class DensityMatrix:
 
     __slots__ = ("_mat", "_lo", "_step")
 
-    def __init__(self, mat: np.ndarray, lo: int, *, validate: bool = True):
+    def __init__(self, mat: np.ndarray, lo: int):
         mat = np.asarray(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
@@ -151,23 +147,22 @@ class DensityMatrix:
         nonzero = mat != 0
         occupied = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
         step = int(np.gcd.reduce(occupied)) or 1  # occupied[0] is 0 after the trim
-        self._store(np.ascontiguousarray(mat[::step, ::step]), lo, step, validate)
+        self._store(np.ascontiguousarray(mat[::step, ::step]), lo, step)
 
     @classmethod
     def _sublattice(cls, mat: np.ndarray, lo: int, step: int) -> "DensityMatrix":
         """Build from the stored array of the sublattice ``lo + step*Z``, validated."""
         rho = cls.__new__(cls)
-        rho._store(*_trim_window(mat, lo, step), step, True)
+        rho._store(*_trim_window(mat, lo, step), step)
         return rho
 
-    def _store(self, mat: np.ndarray, lo: int, step: int, validate: bool) -> None:
-        if validate:
-            if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
-                raise ValueError("density matrix is not Hermitian")
-            if abs(np.trace(mat).real - 1.0) > TRACE_TOL:
-                raise ValueError(f"trace is {np.trace(mat).real}, not 1")
-            if np.min(np.diag(mat).real) < -NEGATIVE_DUST:
-                raise ValueError("negative diagonal entry beyond tolerance")
+    def _store(self, mat: np.ndarray, lo: int, step: int) -> None:
+        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
+            raise ValueError("density matrix is not Hermitian")
+        if abs(np.trace(mat).real - 1.0) > TRACE_TOL:
+            raise ValueError(f"trace is {np.trace(mat).real}, not 1")
+        if np.min(np.diag(mat).real) < -NEGATIVE_DUST:
+            raise ValueError("negative diagonal entry beyond tolerance")
         mat.setflags(write=False)
         self._mat = mat
         self._lo = int(lo)
@@ -206,11 +201,11 @@ class DensityMatrix:
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self._mat - self._mat.conj().T)))
 
-    def to_entries(self, tol: float = 0.0) -> dict[tuple[int, int], complex]:
-        """Entries with modulus above ``tol`` (at least 0), keyed by site pair."""
+    def to_entries(self) -> dict[tuple[int, int], complex]:
+        """The nonzero entries, keyed by site pair."""
         out = {}
         lo, step = self._lo, self._step
-        rows, cols = np.nonzero(np.abs(self._mat) > tol)
+        rows, cols = np.nonzero(self._mat)
         for r, c in zip(rows, cols):
             out[(lo + step * r, lo + step * c)] = self._mat[r, c]
         return out
@@ -313,13 +308,6 @@ def _step_power(coin: bytes, n: int) -> CoinBlock:
     return block
 
 
-def kraus_delayed(config: WalkConfig, m: int) -> tuple[LaurentOperator, LaurentOperator]:
-    """Kraus generators of one period of the delayed tracing scheme."""
-    if m < 1:
-        raise ValueError(f"trace period must be at least 1, got {m}")
-    return kraus_pair(config, m)
-
-
 # -- distributions ----------------------------------------------------------
 
 
@@ -374,14 +362,6 @@ def global_distribution(config: WalkConfig, n: int) -> SiteDistribution:
     return _amplitude_distribution(_last(_global_amplitudes(config, n)), n)
 
 
-def prompt_step_probabilities(config: WalkConfig) -> tuple[float, float]:
-    """Right/left step probabilities of the promptly traced (classical) walk."""
-    u = config.coin_unitary
-    right = abs(u[0, 0] * config.c + u[0, 1] * config.d) ** 2
-    left = abs(u[1, 0] * config.c + u[1, 1] * config.d) ** 2
-    return float(right), float(left)
-
-
 def prompt_trajectory(config: WalkConfig, n: int) -> list[SiteDistribution]:
     """Distributions of the promptly traced walk for steps 0..n."""
     return [SiteDistribution(probs) for probs in _prompt_probabilities(config, n)]
@@ -391,7 +371,9 @@ def _prompt_probabilities(config: WalkConfig, n: int) -> Iterator[tuple[int, np.
     """Site probabilities ``(lo, values)`` of the prompt walk after steps 0..n."""
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
-    right, left = prompt_step_probabilities(config)
+    u = config.coin_unitary
+    right = abs(u[0, 0] * config.c + u[0, 1] * config.d) ** 2
+    left = abs(u[1, 0] * config.c + u[1, 1] * config.d) ** 2
     step = np.array([left, right])
     probs = np.array([1.0])
     yield 0, probs
@@ -417,12 +399,7 @@ def _last(steps: Iterator):
 # -- CP-map evolution -------------------------------------------------------
 
 
-def cp_apply(
-    rho: DensityMatrix,
-    kraus: Sequence[LaurentOperator],
-    *,
-    completeness_tol: float = 1e-10,
-) -> DensityMatrix:
+def cp_apply(rho: DensityMatrix, kraus: Sequence[LaurentOperator]) -> DensityMatrix:
     """Apply the CP map with the given Kraus generators to a density matrix.
 
     The result lives on the sublattice whose step is the gcd of rho's step
@@ -432,11 +409,11 @@ def cp_apply(
     same order as on the full window, so every stored entry rounds as it
     would there.  A family of mixed degree parity falls back to step 1.
     """
-    total = LaurentOperator.zero()
+    total = ZERO
     for op in kraus:
         total = total + op.adjoint() * op
     defect = total.distance(IDENTITY)
-    if defect > completeness_tol:
+    if defect > COMPLETENESS_TOL:
         raise KrausCompletenessError(
             f"Kraus completeness violated: residual {defect:.3e}"
         )
@@ -468,7 +445,9 @@ def cp_walk(config: WalkConfig, m: int, n_iterations: int) -> list[DensityMatrix
     """
     if n_iterations < 0:
         raise ValueError(f"iteration count must be nonnegative, got {n_iterations}")
-    kraus = kraus_delayed(config, m)
+    if m < 1:
+        raise ValueError(f"trace period must be at least 1, got {m}")
+    kraus = kraus_pair(config, m)
     trajectory = [DensityMatrix.delta(0)]
     for _ in range(n_iterations):
         trajectory.append(cp_apply(trajectory[-1], kraus))

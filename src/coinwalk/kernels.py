@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .engine import NORM_TOL, SiteDistribution, WalkConfig, kraus_delayed, kraus_pair
+from .engine import NORM_TOL, SiteDistribution, WalkConfig, kraus_pair
 from .laurent import TRIM_TOL, FiniteSequence, LaurentOperator, window_sum
 
 REAL_TOL = 1e-12
@@ -107,31 +107,12 @@ class RealKernel(FiniteSequence):
             kind = None
         return RealKernel(self._convolved(other), kind)
 
-    def power(self, n: int) -> "RealKernel":
-        if n < 0:
-            raise ValueError(f"negative kernel power: {n}")
-        result = RealKernel({0: 1.0})
-        for _ in range(n):
-            result = result.convolve(self)
-        return result
-
-    def apply(self, mapping: Mapping[int, float]) -> dict[int, float]:
-        """Convolve with a signed site map; returns its nonzero sites as a plain dict.
-
-        Map entries at or below ``TRIM_TOL`` in magnitude count as zero.
-        """
-        lo, values = self._applied(FiniteSequence(mapping))
-        return {lo + k: v for k, v in enumerate(values.tolist()) if v}
-
     def apply_distribution(self, dist: SiteDistribution) -> SiteDistribution:
         if self.kind != "stochastic":
             raise ValueError("only stochastic kernels map distributions to distributions")
-        return SiteDistribution(self._applied(dist))
-
-    def _applied(self, seq: FiniteSequence) -> tuple[int, np.ndarray]:
-        """The convolution with ``seq`` as shifted adds over ascending kernel degrees."""
-        degrees = enumerate(self.values.tolist(), self.lo + seq.lo)
-        return window_sum((lo, c * seq.values) for lo, c in degrees if c)
+        # the convolution as shifted adds over ascending kernel degrees
+        degrees = enumerate(self.values.tolist(), self.lo + dist.lo)
+        return SiteDistribution(window_sum((lo, c * dist.values) for lo, c in degrees if c))
 
 
 SHIFT_DIFFERENCE = RealKernel({+1: 1.0, -1: -1.0}, "null-sum")
@@ -192,20 +173,20 @@ def phi_matrix(config: WalkConfig) -> RealKernel:
 
 def delayed_kernel(config: WalkConfig, m: int = 2) -> RealKernel:
     """The fixed doubly stochastic kernel of the period-m delayed walk."""
-    b0, b1 = kraus_delayed(config, m)
+    if m < 1:
+        raise ValueError(f"trace period must be at least 1, got {m}")
+    b0, b1 = kraus_pair(config, m)
     op = b0.hadamard_conj(b0) + b1.hadamard_conj(b1)
     return RealKernel.from_laurent(op, "stochastic")
 
 
-def kernel_walk(
-    kernel: RealKernel, n: int, start: SiteDistribution | None = None
-) -> list[SiteDistribution]:
-    """Repeatedly apply a stochastic kernel; returns the n+1 distributions."""
+def kernel_walk(kernel: RealKernel, n: int) -> list[SiteDistribution]:
+    """Repeatedly apply a stochastic kernel to the origin delta; returns the n+1 distributions."""
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
     if kernel.kind != "stochastic":
         raise ValueError("kernel walk requires a stochastic kernel")
-    current = start if start is not None else SiteDistribution.delta(0)
+    current = SiteDistribution.delta(0)
     trajectory = [current]
     for _ in range(n):
         current = kernel.apply_distribution(current)
@@ -223,7 +204,13 @@ def binomial_solution(config: WalkConfig, n: int) -> SiteDistribution:
         raise ValueError(f"step count must be nonnegative, got {n}")
     delta_c = classical_kernel(_require_bias(config))
     phi = phi_matrix(config)
-    terms = (phi.power(n - k).convolve(delta_c.power(k)) for k in range(n + 1))
+    # one convolution per power; from the kindless unit kernel the classical
+    # powers carry no kind, so they skip the stochastic re-check
+    phi_powers, classical_powers = [RealKernel({0: 1.0})], [RealKernel({0: 1.0})]
+    for _ in range(n):
+        phi_powers.append(phi_powers[-1].convolve(phi))
+        classical_powers.append(classical_powers[-1].convolve(delta_c))
+    terms = (phi_powers[n - k].convolve(classical_powers[k]) for k in range(n + 1))
     scaled = [(t.lo, float(math.comb(n, k)) * t.values) for k, t in enumerate(terms)]
     lo, acc = window_sum(scaled)
     # the alternating binomial sum cancels to scale 1 from terms of scale up to

@@ -174,20 +174,6 @@ class LaurentOperator(FiniteSequence):
 
     dtype = complex
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "LaurentOperator":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentOperator":
-        return cls({0: 1.0})
-
-    @classmethod
-    def shift(cls, degree: int, amplitude: complex = 1.0) -> "LaurentOperator":
-        return cls({degree: amplitude})
-
     # -- arithmetic ---------------------------------------------------------
 
     def adjoint(self) -> "LaurentOperator":
@@ -229,10 +215,10 @@ class LaurentOperator(FiniteSequence):
         return out
 
 
-IDENTITY = LaurentOperator.one()
-ZERO = LaurentOperator.zero()
-E_PLUS = LaurentOperator.shift(+1)
-E_MINUS = LaurentOperator.shift(-1)
+IDENTITY = LaurentOperator({0: 1.0})
+ZERO = LaurentOperator()
+E_PLUS = LaurentOperator({+1: 1.0})
+E_MINUS = LaurentOperator({-1: 1.0})
 
 
 class CoinBlock:

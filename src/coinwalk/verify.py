@@ -18,7 +18,6 @@ from .engine import (
     WalkConfig,
     cp_walk,
     global_trajectory,
-    kraus_delayed,
     kraus_pair,
     prompt_trajectory,
 )
@@ -57,6 +56,12 @@ def _check(name, params, residual, tol, informational=False, note=None):
     if informational:
         record["pass"] = True
     return record
+
+
+def _ordered(trajectory) -> bool:
+    """Whether each distribution majorizes (or equals) the next."""
+    ordered = (analysis.Verdict.FIRST_MAJORIZES, analysis.Verdict.EQUAL)
+    return all(v.relation in ordered for v in analysis.majorization_chain(trajectory))
 
 
 def _configs():
@@ -203,7 +208,7 @@ def suite_prop2(max_steps: int, tol: float | None = None) -> list[dict]:
 
     # closed-form period-2 Kraus generators against the generic block power
     p, c, d = 0.5, cfg.c, cfg.d
-    b0, b1 = kraus_delayed(cfg, 2)
+    b0, b1 = kraus_pair(cfg, 2)
     root = math.sqrt(p * (1.0 - p))
     b0_closed = LaurentOperator({+2: p * c + root * d, 0: (1.0 - p) * c - root * d})
     b1_closed = LaurentOperator({-2: p * d - root * c, 0: (1.0 - p) * d + root * c})
@@ -227,15 +232,10 @@ def suite_prop2(max_steps: int, tol: float | None = None) -> list[dict]:
     )
 
     # kernel-walk majorization chain
-    ordered = all(
-        analysis.compare_majorization(walk[j], walk[j + 1]).relation
-        in (analysis.Verdict.FIRST_MAJORIZES, analysis.Verdict.EQUAL)
-        for j in range(max_steps)
-    )
     checks.append(
         _check("kernel-walk-majorization-chain",
                {"config": "symmetric p=1/2", "steps": f"0..{max_steps}"},
-               0.0 if ordered else 1.0, 0.5)
+               0.0 if _ordered(walk) else 1.0, 0.5)
     )
 
     # density-matrix iteration: second moments against the published ratios
@@ -308,17 +308,9 @@ def suite_analysis(max_steps: int, tol: float | None = None) -> list[dict]:
     worst = 0.0
     for p in (0.25, 0.5):
         classical = prompt_trajectory(WalkConfig(c=0.0, d=1.0, p=p), min(max_steps, 30))
-        for j in range(len(classical) - 1):
-            verdict = analysis.compare_majorization(classical[j], classical[j + 1])
-            if verdict.relation not in (
-                analysis.Verdict.FIRST_MAJORIZES,
-                analysis.Verdict.EQUAL,
-            ):
-                worst = 1.0
-            gap = analysis.shannon_entropy(classical[j]) - analysis.shannon_entropy(
-                classical[j + 1]
-            )
-            worst = max(worst, gap)
+        series = [analysis.shannon_entropy(d) for d in classical]
+        gaps = (a - b for a, b in zip(series, series[1:]))
+        worst = max(worst, 0.0 if _ordered(classical) else 1.0, *gaps)
     checks.append(
         _check("classical-chain-majorization-entropy",
                {"p": "0.25, 0.5", "steps": f"0..{min(max_steps, 30)}"},
@@ -339,21 +331,15 @@ def suite_analysis(max_steps: int, tol: float | None = None) -> list[dict]:
         dist = SiteDistribution(
             {int(s): v / probs.sum() for s, v in enumerate(probs)}
         )
-        verdict = analysis.compare_majorization(dist, kernel.apply_distribution(dist))
-        if verdict.relation not in (
-            analysis.Verdict.FIRST_MAJORIZES,
-            analysis.Verdict.EQUAL,
-        ):
+        if not _ordered([dist, kernel.apply_distribution(dist)]):
             failures += 1
     checks.append(
         _check("mixing-monotonicity-randomized", {"cases": 200}, failures, 0.5)
     )
 
     # entropy dynamics: breakdown window plus the documented cluster scan
-    window = [analysis.compare_majorization(trajectory[n], trajectory[n + 1])
-              for n in range(6, 9)]
     breakdown = any(v.relation is analysis.Verdict.INCOMPARABLE and v.crossings
-                    for v in window)
+                    for v in analysis.majorization_chain(trajectory[6:10]))
     increasing = all(entropies[k + 1] > entropies[k] for k in range(3))
     checks.append(
         _check("majorization-breakdown-window", {"steps": "6..9"},

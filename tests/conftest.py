@@ -9,7 +9,7 @@ a genuine cross-check.
 import numpy as np
 import pytest
 
-from coinwalk import SiteDistribution, WalkConfig
+from coinwalk.engine import SiteDistribution, WalkConfig
 
 P_GRID = (0.25, 1.0 / 3.0, 0.5, 0.75)
 COIN_INITS = ((0.0, 1.0), (1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)))

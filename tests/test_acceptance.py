@@ -9,30 +9,34 @@ import math
 import numpy as np
 import pytest
 
-from coinwalk import (
-    RealKernel,
-    SiteDistribution,
-    WalkConfig,
-    classical_kernel,
+from coinwalk.analysis import (
+    Verdict,
     compare_majorization,
-    cp_walk,
-    delayed_kernel,
     entropy_series,
-    global_trajectory,
-    kernel_walk,
-    kraus_pair,
-    mixing_matrix,
     moment,
-    phi_matrix,
-    prompt_trajectory,
-    pseudo_memory_reconstruct,
-    quantum_kernel,
-    reshuffling_matrix,
     shannon_entropy,
     standard_deviation,
 )
-from coinwalk.analysis import Verdict
-from coinwalk.kernels import SHIFT_DIFFERENCE
+from coinwalk.engine import (
+    SiteDistribution,
+    WalkConfig,
+    cp_walk,
+    global_trajectory,
+    kraus_pair,
+    prompt_trajectory,
+)
+from coinwalk.kernels import (
+    SHIFT_DIFFERENCE,
+    RealKernel,
+    classical_kernel,
+    delayed_kernel,
+    kernel_walk,
+    mixing_matrix,
+    phi_matrix,
+    pseudo_memory_reconstruct,
+    quantum_kernel,
+    reshuffling_matrix,
+)
 from coinwalk.laurent import IDENTITY
 
 from conftest import COIN_INITS, P_GRID, binomial_distribution
@@ -256,7 +260,7 @@ def test_criterion_14_property_suites():
                 ok &= op.is_normal(1e-12)
 
     # dense-window Hadamard oracle equivalence
-    from coinwalk import LaurentOperator
+    from coinwalk.laurent import LaurentOperator
 
     window = range(-4, 5)
     for _ in range(25):

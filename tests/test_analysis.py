@@ -4,20 +4,25 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from coinwalk import (
-    RealKernel,
-    SiteDistribution,
-    WalkConfig,
+from coinwalk.analysis import (
+    PARTIAL_SUM_TOL,
+    Verdict,
+    _crossings,
     compare_majorization,
     entropy_series,
-    global_trajectory,
     lorenz_curve,
+    majorization_chain,
     moment,
-    prompt_trajectory,
     shannon_entropy,
     standard_deviation,
 )
-from coinwalk.analysis import PARTIAL_SUM_TOL, Verdict, _crossings
+from coinwalk.engine import (
+    SiteDistribution,
+    WalkConfig,
+    global_trajectory,
+    prompt_trajectory,
+)
+from coinwalk.kernels import RealKernel
 
 
 def uniform(n, offset=0):
@@ -32,7 +37,7 @@ class TestShannonEntropy:
         assert shannon_entropy(uniform(4)) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_symmetric_walk_step_six(self, symmetric):
-        from coinwalk import global_distribution
+        from coinwalk.engine import global_distribution
 
         s = shannon_entropy(global_distribution(symmetric, 6))
         assert s == pytest.approx(1.6551, abs=5e-4)
@@ -71,23 +76,19 @@ class TestMoment:
 
 
 class TestLorenzCurve:
-    def test_delta_padded(self):
-        curve = lorenz_curve(SiteDistribution.delta(), slots=5)
-        assert np.allclose(curve.gammas, [0, 1, 1, 1, 1, 1])
-
     def test_uniform_two(self):
         curve = lorenz_curve(uniform(2))
         assert np.allclose(curve.gammas, [0, 0.5, 1])
         assert np.allclose(curve.fractions, [0, 0.5, 1])
 
     def test_symmetric_step_six_partial_sums(self, symmetric):
-        from coinwalk import global_distribution
+        from coinwalk.engine import global_distribution
 
         curve = lorenz_curve(global_distribution(symmetric, 6))
         assert np.allclose(curve.gammas[1:4], [0.28125, 0.5625, 0.703125], atol=1e-12)
 
     def test_endpoints_and_monotone(self, symmetric):
-        from coinwalk import global_distribution
+        from coinwalk.engine import global_distribution
 
         curve = lorenz_curve(global_distribution(symmetric, 9))
         assert curve.gammas[0] == 0.0 and curve.gammas[-1] == 1.0
@@ -134,7 +135,67 @@ class TestCrossings:
         assert all(type(i) is int for i in got)
 
 
+def zero_padded_verdict(p, q):
+    """Reference verdict: cumulative sums of sorted, zero-padded probability vectors."""
+    slots = max(len(p), len(q))
+    cp, cq = (
+        np.cumsum(np.concatenate([np.sort(d.probabilities())[::-1], np.zeros(slots - len(d))]))
+        for d in (p, q)
+    )
+    diff = cp - cq
+    if np.all(np.abs(diff) <= PARTIAL_SUM_TOL):
+        return Verdict.EQUAL, ()
+    if np.all(diff >= -PARTIAL_SUM_TOL):
+        return Verdict.FIRST_MAJORIZES, ()
+    if np.all(diff <= PARTIAL_SUM_TOL):
+        return Verdict.SECOND_MAJORIZES, ()
+    return Verdict.INCOMPARABLE, crossings_loop(diff)
+
+
+#: Distributions with unequal supports, ties and zero entries: small integer
+#: weights tie often, zeros are dropped from the support.
+_DISTRIBUTIONS = st.builds(
+    lambda lo, weights: SiteDistribution((lo, np.array(weights) / sum(weights))),
+    st.integers(-4, 4),
+    st.lists(st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0]), st.floats(0.0, 1.0)),
+             min_size=1, max_size=9).filter(lambda w: sum(w) > 0.0),
+)
+
+
+class TestMajorizationChain:
+    @given(st.lists(_DISTRIBUTIONS, max_size=7))
+    @example([])
+    @example([SiteDistribution.delta()])
+    def test_matches_pairwise_comparisons(self, trajectory):
+        chain = majorization_chain(trajectory)
+        pairwise = [compare_majorization(a, b) for a, b in zip(trajectory, trajectory[1:])]
+        assert [(v.relation, v.crossings) for v in chain] == [
+            (v.relation, v.crossings) for v in pairwise
+        ]
+
+    @given(_DISTRIBUTIONS, _DISTRIBUTIONS)
+    def test_padding_matches_zero_padded_vectors(self, p, q):
+        verdict = compare_majorization(p, q)
+        assert (verdict.relation, verdict.crossings) == zero_padded_verdict(p, q)
+
+    def test_global_walk_chain(self, symmetric):
+        trajectory = global_trajectory(symmetric, 40)
+        chain = majorization_chain(iter(trajectory))
+        assert chain == [compare_majorization(a, b) for a, b in zip(trajectory, trajectory[1:])]
+
+
 class TestCompareMajorization:
+    @pytest.mark.parametrize("first", ["delta", "uniform"])
+    def test_delta_padded_against_uniform(self, first):
+        # the one-slot delta is padded to five slots: partial sums 1, 1, 1, 1, 1
+        pair = (SiteDistribution.delta(), uniform(5))
+        if first == "uniform":
+            pair = pair[::-1]
+        verdict = compare_majorization(*pair)
+        want = Verdict.FIRST_MAJORIZES if first == "delta" else Verdict.SECOND_MAJORIZES
+        assert (verdict.relation, verdict.crossings) == (want, ())
+        assert (want, ()) == zero_padded_verdict(*pair)
+
     def test_delta_majorizes_everything(self):
         verdict = compare_majorization(SiteDistribution.delta(), uniform(2))
         assert verdict.relation is Verdict.FIRST_MAJORIZES
@@ -250,7 +311,7 @@ class TestEntropySeries:
 
 class TestStandardDeviation:
     def test_asymptotic_spreading_rate(self, symmetric):
-        from coinwalk import global_distribution
+        from coinwalk.engine import global_distribution
 
         sigma = standard_deviation(global_distribution(symmetric, 200))
         rate = sigma / (200 * math.sqrt((2 - math.sqrt(2)) / 2))

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from coinwalk import SiteDistribution, cli
+from coinwalk import cli
+from coinwalk.engine import SiteDistribution
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -293,6 +294,20 @@ class TestAnalyze:
         assert len(rows) == 30
         assert all(r.split(",")[2] == "FirstMajorizes" for r in rows)
 
+    def test_majorize_sorts_each_step_once(self, tmp_path, monkeypatch):
+        from coinwalk import analysis
+
+        calls = []
+        partial_sums = analysis._partial_sums
+        monkeypatch.setattr(analysis, "_partial_sums",
+                            lambda dist: calls.append(1) or partial_sums(dist))
+        out = tmp_path / "majorize.csv"
+        code = cli.main(["analyze", "majorize", "--scheme", "global", "--symmetric",
+                         "--steps", "1500", "--out", str(out)])
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 1501  # header and 1500 links
+        assert len(calls) == 1501
+
     def test_lorenz_schema(self, capsys):
         code, out = run(
             ["analyze", "lorenz", "--symmetric", "--steps", "2"], capsys
@@ -408,6 +423,17 @@ class TestVerify:
         path = tmp_path / "report.json"
         cli.main(["verify", suite, "--max-steps", steps, "--out", str(path)])
         assert hashlib.sha256(path.read_bytes()).hexdigest() == recorded[key]
+
+    @pytest.mark.parametrize("suite,steps,digest", [
+        ("analysis", "1", "3932230c40c0abc4724851a8f9f2f5d09efd67d71c9ff546d1e160e07b2bbb4a"),
+        ("all", "3", "356fa0a998d4e470d1ea1024a61f306b371481262b42e0a06c77a193db2ee972"),
+    ])
+    def test_short_horizon_reports_match_recorded_digests(self, tmp_path, suite, steps, digest):
+        # below the step-6..9 checkpoints the chains are shorter than the
+        # checkpoint windows
+        path = tmp_path / "report.json"
+        assert cli.main(["verify", suite, "--max-steps", steps, "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_bad_suite_is_argument_error(self):
         with pytest.raises(SystemExit) as err:

@@ -3,23 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from coinwalk import (
+from coinwalk.engine import (
     DensityMatrix,
     KrausCompletenessError,
-    LaurentOperator,
     SiteDistribution,
     WalkConfig,
+    _global_amplitudes,
+    build_step_operator,
     cp_apply,
     cp_walk,
     global_distribution,
     global_trajectory,
-    kraus_delayed,
     kraus_pair,
     prompt_distribution,
     prompt_trajectory,
 )
-from coinwalk.engine import _global_amplitudes
-from coinwalk.laurent import IDENTITY
+from coinwalk.kernels import delayed_kernel
+from coinwalk.laurent import IDENTITY, LaurentOperator
 
 from conftest import (
     COIN_INITS,
@@ -103,8 +103,6 @@ class TestKrausPair:
 
     def test_memoised_powers_keep_coins_apart(self):
         # equal biases, different unitaries: each pair matches its own block power
-        from coinwalk import build_step_operator
-
         configs = [WalkConfig(c=SQ2, d=1j * SQ2, p=0.5),
                    WalkConfig(c=SQ2, d=1j * SQ2, coin=PHASED_COIN),
                    WalkConfig(c=1.0, d=0.0, p=0.5)]
@@ -129,7 +127,7 @@ class TestKrausDelayed:
     def test_period_two_closed_form(self):
         # published closed form for the period-2 generators
         p, c, d = 0.5, SQ2, 1j * SQ2
-        b0, b1 = kraus_delayed(WalkConfig(c=c, d=d, p=p), 2)
+        b0, b1 = kraus_pair(WalkConfig(c=c, d=d, p=p), 2)
         root = math.sqrt(p * (1 - p))
         assert b0.isclose(LaurentOperator({+2: p * c + root * d, 0: (1 - p) * c - root * d}))
         assert b1.isclose(LaurentOperator({-2: p * d - root * c, 0: (1 - p) * d + root * c}))
@@ -137,15 +135,13 @@ class TestKrausDelayed:
             for _, amp in op.items():
                 assert abs(abs(amp) ** 2 - 0.25) < 1e-12
 
-    def test_period_one_matches_single_step(self):
-        cfg = WalkConfig(c=0.6, d=0.8, p=0.3)
-        b = kraus_delayed(cfg, 1)
-        a = kraus_pair(cfg, 1)
-        assert b[0].isclose(a[0]) and b[1].isclose(a[1])
-
     def test_period_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            kraus_delayed(WalkConfig.symmetric(), 0)
+        # the two entry points that take a trace period
+        cfg = WalkConfig.symmetric()
+        with pytest.raises(ValueError, match="trace period"):
+            delayed_kernel(cfg, 0)
+        with pytest.raises(ValueError, match="trace period"):
+            cp_walk(cfg, 0, 1)
 
 
 class TestGlobalDistribution:
@@ -318,7 +314,7 @@ class TestCpApply:
             assert out.diagonal().distance(global_distribution(symmetric, n)) < 1e-12
 
     def test_period_two_off_diagonal(self, symmetric):
-        out = cp_apply(DensityMatrix.delta(), kraus_delayed(symmetric, 2))
+        out = cp_apply(DensityMatrix.delta(), kraus_pair(symmetric, 2))
         assert out.entry(0, 2) == pytest.approx(-0.25j, abs=1e-12)
 
     @pytest.mark.parametrize("iters", [0, 1, 3])
@@ -348,7 +344,7 @@ class TestCpApply:
         assert np.abs(window_of(out, lo, want.shape[0]) - want).max() < 1e-15
 
     def test_trace_and_hermiticity_over_many_steps(self, symmetric):
-        kraus = kraus_delayed(symmetric, 1)
+        kraus = kraus_pair(symmetric, 1)
         rho = DensityMatrix.delta()
         for _ in range(100):
             rho = cp_apply(rho, kraus)
@@ -364,7 +360,7 @@ class TestCpWalk:
             assert rho.diagonal().distance(dist) < 1e-12
 
     def test_second_moment_after_two_iterations(self, symmetric):
-        from coinwalk import moment
+        from coinwalk.analysis import moment
 
         trajectory = cp_walk(symmetric, 2, 2)
         assert moment(trajectory[2].diagonal(), 2) == pytest.approx(5.0, abs=1e-10)

@@ -1,20 +1,24 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from coinwalk import (
-    IncompatibleCoinError,
-    RealKernel,
+from coinwalk.analysis import Verdict, compare_majorization
+from coinwalk.engine import (
     SiteDistribution,
     WalkConfig,
-    binomial_solution,
-    classical_kernel,
-    compare_majorization,
     cp_walk,
-    delayed_kernel,
     global_distribution,
     global_trajectory,
+)
+from coinwalk.kernels import (
+    SHIFT_DIFFERENCE,
+    IncompatibleCoinError,
+    RealKernel,
+    binomial_solution,
+    classical_kernel,
+    delayed_kernel,
     kernel_walk,
     mixing_matrix,
     phi_matrix,
@@ -22,8 +26,7 @@ from coinwalk import (
     quantum_kernel,
     reshuffling_matrix,
 )
-from coinwalk.analysis import Verdict
-from coinwalk.kernels import SHIFT_DIFFERENCE
+from coinwalk.laurent import IDENTITY, LaurentOperator
 
 from conftest import COIN_INITS, P_GRID
 
@@ -40,8 +43,6 @@ class TestRealKernel:
             RealKernel({0: 0.5}, "null-sum")
 
     def test_from_laurent_rejects_imaginary(self):
-        from coinwalk import LaurentOperator
-
         with pytest.raises(ValueError):
             RealKernel.from_laurent(LaurentOperator({0: 1j}))
 
@@ -63,31 +64,26 @@ class TestRealKernel:
             RealKernel((0, np.array([0.5, 0.0])), "null-sum")
 
     def test_complex_values_rejected(self):
-        from coinwalk import LaurentOperator
-
         with pytest.raises(TypeError):
             RealKernel((0, np.array([1 + 1j])))
         with pytest.raises(TypeError):
             RealKernel({0: 1 + 1j})
         with pytest.raises(TypeError):
-            RealKernel.identity() + LaurentOperator.one()
+            RealKernel.identity() + IDENTITY
         with pytest.raises(TypeError):
-            RealKernel.identity() * LaurentOperator.one()
+            RealKernel.identity() * IDENTITY
         with pytest.raises(TypeError):
-            RealKernel.identity().convolve(LaurentOperator.one())
+            RealKernel.identity().convolve(IDENTITY)
 
     def test_sum_tolerance_scales_with_norm(self):
         # Phi^k has an l1 norm growing like 2^k; at k = 15 its sum drifts past
         # any fixed 1e-12 while staying well inside the rounding bound
         phi = phi_matrix(WalkConfig.symmetric())
-        power = phi.power(15)
+        power = RealKernel({0: 1.0})
+        for _ in range(15):
+            power = power.convolve(phi)
         assert power.kind == "null-sum"
         assert abs(power.coefficient_sum) > 1e-12
-
-    def test_apply_matches_distribution_walk(self):
-        k = classical_kernel(0.25)
-        dist = SiteDistribution({0: 0.5, 2: 0.5})
-        assert k.apply(dict(dist.items())) == dict(k.apply_distribution(dist).items())
 
 
 class TestClassicalKernel:
@@ -259,6 +255,17 @@ class TestKernelWalk:
             assert verdict.relation in (Verdict.FIRST_MAJORIZES, Verdict.EQUAL)
 
 
+#: sha256 over n = 0..21 of ``repr(lo)`` and ``values.tobytes()`` of
+#: ``binomial_solution(cfg, n)``, recorded from a build that raised each
+#: kernel power by its own convolution loop.
+BINOMIAL_SHA256 = {
+    "c=0,d=1,p=0.25": "49247c36f3c413ae503288d4c8c6c5dcd9175cf41861e8f4b92a98f5973e280d",
+    "symmetric,p=0.25": "ed4cdc18d46b7ca5417eb71e4e0f3d04d587aa4c2b940e66434cb5e3d2474a77",
+    "c=0,d=1,p=0.5": "e2dd13784a48622d219bd8cf183b17c4c8ba344b329ca00a33c7195d37e6cc86",
+    "symmetric,p=0.5": "11c8eafa28494e5693897c04604da7f1c5c07d61b00e5cfb5f10dcfe75b6da7f",
+}
+
+
 class TestBinomialSolution:
     def test_one_step_is_delayed_kernel(self, symmetric):
         got = binomial_solution(symmetric, 1)
@@ -279,6 +286,21 @@ class TestBinomialSolution:
         # rounding bound of the sum, so the noisy distribution comes back
         walk = kernel_walk(delayed_kernel(symmetric), n)
         assert 1e-10 < binomial_solution(symmetric, n).distance(walk[n]) < 1e-6
+
+    @pytest.mark.parametrize("key", sorted(BINOMIAL_SHA256))
+    def test_steps_up_to_21_match_recorded_digests(self, key):
+        # the kernel powers are built incrementally, each the previous power
+        # convolved with the base; the bytes must stay those of one
+        # convolution loop per power
+        coin, p = key.split(",p=")
+        p = float(p)
+        cfg = WalkConfig.symmetric(p) if coin == "symmetric" else WalkConfig(c=0.0, d=1.0, p=p)
+        digest = hashlib.sha256()
+        for n in range(22):
+            dist = binomial_solution(cfg, n)
+            digest.update(repr(dist.lo).encode())
+            digest.update(dist.values.tobytes())
+        assert digest.hexdigest() == BINOMIAL_SHA256[key]
 
 
 class TestPseudoMemory:

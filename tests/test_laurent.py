@@ -2,17 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from coinwalk import (
-    CoinBlock,
-    E_MINUS,
-    E_PLUS,
-    IDENTITY,
-    LaurentOperator,
-    RealKernel,
-    SiteDistribution,
-)
-from coinwalk.engine import WalkConfig, build_step_operator
-from coinwalk.laurent import TRIM_TOL
+from coinwalk.engine import SiteDistribution, WalkConfig, build_step_operator
+from coinwalk.kernels import RealKernel
+from coinwalk.laurent import E_MINUS, E_PLUS, IDENTITY, TRIM_TOL, CoinBlock, LaurentOperator
 
 ALGEBRA_TOL = 1e-12
 
