@@ -12,8 +12,6 @@ from .engine import SiteDistribution
 
 PARTIAL_SUM_TOL = 1e-12
 DESCENT_TOL = 1e-12
-#: Longest stride of the increasing-run scan in :func:`entropy_series`.
-MAX_STRIDE = 6
 
 
 class Verdict(enum.Enum):
@@ -41,10 +39,6 @@ class LorenzCurve:
     fractions: np.ndarray  # n / N for n = 0..N
     gammas: np.ndarray  # partial sums, gamma_0 = 0, gamma_N = 1
 
-    def __post_init__(self):
-        object.__setattr__(self, "fractions", np.asarray(self.fractions, dtype=float))
-        object.__setattr__(self, "gammas", np.asarray(self.gammas, dtype=float))
-
 
 @dataclass(frozen=True)
 class EntropySeries:
@@ -53,9 +47,6 @@ class EntropySeries:
     entropies: np.ndarray
     slope: float  # least-squares slope of entropy against step index
     descents: tuple[int, ...]  # indices N with S(N+1) < S(N) beyond tolerance
-    #: For each stride s, (start, length) of a maximal run of strictly
-    #: increasing entropies along the arithmetic subsequence with step s.
-    increasing_runs: dict[int, tuple[int, int]]
 
     @property
     def mean_increase(self) -> float:
@@ -75,8 +66,6 @@ def moment(dist: SiteDistribution, m: int) -> float:
     if m < 0:
         raise ValueError(f"moment order must be nonnegative, got {m}")
     sites, probs = dist.to_arrays()
-    if sites.size == 0:
-        return 1.0 if m == 0 else 0.0
     return float(np.sum(np.power(sites.astype(float), m) * probs))
 
 
@@ -156,7 +145,7 @@ def _crossings(diff: np.ndarray) -> tuple[int, ...]:
 
 
 def entropy_series(trajectory: Sequence[SiteDistribution]) -> EntropySeries:
-    """Entropies along a trajectory with slope, descents, and increasing runs."""
+    """Entropies along a trajectory with their slope and descents."""
     if not trajectory:
         raise ValueError("trajectory must be nonempty")
     entropies = np.array([shannon_entropy(d) for d in trajectory])
@@ -169,24 +158,4 @@ def entropy_series(trajectory: Sequence[SiteDistribution]) -> EntropySeries:
         for i in range(entropies.size - 1)
         if entropies[i + 1] < entropies[i] - DESCENT_TOL
     )
-    runs = {
-        stride: _longest_increasing_run(entropies, stride)
-        for stride in range(1, min(MAX_STRIDE, max(entropies.size - 1, 1)) + 1)
-    }
-    return EntropySeries(entropies, slope, descents, runs)
-
-
-def _longest_increasing_run(values: np.ndarray, stride: int) -> tuple[int, int]:
-    """(start, length) of a maximal strictly increasing arithmetic subsequence."""
-    best = (0, 1)
-    for start in range(min(stride, values.size)):
-        sub = values[start::stride]
-        run_start, run_len = 0, 1
-        for k in range(1, sub.size):
-            if sub[k] > sub[k - 1] + DESCENT_TOL:
-                run_len += 1
-            else:
-                run_start, run_len = k, 1
-            if run_len > best[1]:
-                best = (start + stride * run_start, run_len)
-    return best
+    return EntropySeries(entropies, slope, descents)

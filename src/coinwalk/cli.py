@@ -72,7 +72,10 @@ def parse_coin(text: str) -> tuple[complex, complex]:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(s) for s in text.split(",") if s]
+    values = [int(s) for s in text.split(",") if s]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}")
+    return values
 
 
 def _float_list(text: str) -> list[float]:
@@ -155,17 +158,11 @@ def cmd_simulate(args) -> int:
             rows.append(_rows(n, "%d,%.17g", sites.tolist(), probs.tolist()))
         _write(args.out, "".join(rows))
     elif args.emit == "json":
-        record = {
-            "config": _config_record(config, args.scheme, args.m),
-            "steps": [
-                {
-                    "n": n,
-                    "sites": [int(s) for s in dist.support],
-                    "probs": [dist[s] for s in dist.support],
-                }
-                for n, dist in enumerate(trajectory)
-            ],
-        }
+        steps = []
+        for n, dist in enumerate(trajectory):
+            sites, probs = dist.to_arrays()
+            steps.append({"n": n, "sites": sites.tolist(), "probs": probs.tolist()})
+        record = {"config": _config_record(config, args.scheme, args.m), "steps": steps}
         _write(args.out, json.dumps(record, indent=2) + "\n")
     else:  # svg
         series = []
@@ -188,30 +185,17 @@ def cmd_simulate(args) -> int:
 # -- analyze ----------------------------------------------------------------
 
 
-def _entropy_table(config: WalkConfig, scheme: str, steps: int, m: int):
-    classical = prompt_trajectory(WalkConfig(c=0.0, d=1.0, p=config.p), steps)
-    quantum = walk_trajectory(config, scheme, steps, m)
-    rows = []
-    for n in range(steps + 1):
-        rows.append(
-            (
-                n,
-                analysis.shannon_entropy(classical[n]),
-                analysis.shannon_entropy(quantum[n]),
-            )
-        )
-    return rows
-
-
 def cmd_analyze(args) -> int:
     config = build_config(args)
+    trajectory = walk_trajectory(config, args.scheme, args.steps, args.m)
     if args.which == "entropy":
+        classical = prompt_trajectory(WalkConfig(c=0.0, d=1.0, p=config.p), args.steps)
         lines = ["step,entropy_classical_nats,entropy_quantum_nats"]
-        for n, sc, sq in _entropy_table(config, args.scheme, args.steps, args.m):
+        for n, (dc, dq) in enumerate(zip(classical, trajectory)):
+            sc, sq = analysis.shannon_entropy(dc), analysis.shannon_entropy(dq)
             lines.append(f"{n},{_fmt(sc)},{_fmt(sq)}")
         _write(args.out, "\n".join(lines) + "\n")
     elif args.which == "lorenz":
-        trajectory = walk_trajectory(config, args.scheme, args.steps, args.m)
         rows = ["step,n,n_over_N,gamma\n"]
         for step, dist in enumerate(trajectory):
             curve = analysis.lorenz_curve(dist)
@@ -220,14 +204,12 @@ def cmd_analyze(args) -> int:
                               fractions, curve.gammas.tolist()))
         _write(args.out, "".join(rows))
     elif args.which == "majorize":
-        trajectory = walk_trajectory(config, args.scheme, args.steps, args.m)
         lines = ["step_a,step_b,verdict,crossings"]
         for n, verdict in enumerate(analysis.majorization_chain(trajectory)):
             crossings = ";".join(str(i) for i in verdict.crossings)
             lines.append(f"{n},{n + 1},{verdict.relation},{crossings}")
         _write(args.out, "\n".join(lines) + "\n")
     elif args.which == "sigma":
-        trajectory = walk_trajectory(config, args.scheme, args.steps, args.m)
         lines = ["step,scheme,sigma,ratio_to_classical"]
         for n in range(1, len(trajectory)):
             sigma = analysis.standard_deviation(trajectory[n])
@@ -252,12 +234,11 @@ def lorenz_figure_series(config: WalkConfig, steps: list[int], scheme: str, m: i
     return series
 
 
-def entropy_figure_series(p_values: list[float], steps: int, symmetric: bool = True):
+def entropy_figure_series(p_values: list[float], steps: int):
     series = []
     xs = list(range(steps + 1))
     for p in p_values:
-        cfg = WalkConfig.symmetric(p) if symmetric else WalkConfig(c=0.0, d=1.0, p=p)
-        walk = global_trajectory(cfg, steps)
+        walk = global_trajectory(WalkConfig.symmetric(p), steps)
         series.append(
             (f"quantum p={p:.4g}", xs,
              [analysis.shannon_entropy(d) for d in walk])
@@ -324,8 +305,8 @@ def _json_default(obj):
 # -- parser -----------------------------------------------------------------
 
 
-def _add_walk_options(parser, *, scheme_default="global", p_list=False):
-    parser.add_argument("--scheme", choices=SCHEMES, default=scheme_default)
+def _add_walk_options(parser, *, p_list=False):
+    parser.add_argument("--scheme", choices=SCHEMES, default="global")
     if p_list:
         parser.add_argument("--p", type=_float_list, default=None,
                             help="coin bias, or comma list of biases")

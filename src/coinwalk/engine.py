@@ -133,8 +133,8 @@ class DensityMatrix:
     stored: row and column r of the stored array are site ``lo + step*r``,
     and every other entry is zero.  The
     constructor takes a dense window whose first row/column is site ``lo``
-    and keeps its occupied sublattice.  ``site_range``, ``entry``,
-    ``to_entries``, ``dense`` and ``diagonal`` address the full window.
+    and keeps its occupied sublattice.  ``site_range``, ``dense`` and
+    ``diagonal`` address the full window.
     """
 
     __slots__ = ("_mat", "_lo", "_step")
@@ -172,43 +172,13 @@ class DensityMatrix:
     def delta(cls, site: int = 0) -> "DensityMatrix":
         return cls(np.array([[1.0 + 0j]]), site)
 
-    @classmethod
-    def from_entries(cls, entries: Mapping[tuple[int, int], complex]) -> "DensityMatrix":
-        sites = sorted({i for i, _ in entries} | {j for _, j in entries})
-        lo, hi = sites[0], sites[-1]
-        n = hi - lo + 1
-        mat = np.zeros((n, n), dtype=complex)
-        for (i, j), v in entries.items():
-            mat[i - lo, j - lo] = v
-        return cls(mat, lo)
-
     @property
     def site_range(self) -> tuple[int, int]:
         return self._lo, self._lo + self._step * (self._mat.shape[0] - 1)
 
-    def entry(self, i: int, j: int) -> complex:
-        lo, hi = self.site_range
-        if not (lo <= i <= hi and lo <= j <= hi):
-            return 0j
-        r, dr = divmod(i - lo, self._step)
-        c, dc = divmod(j - lo, self._step)
-        return 0j if dr or dc else self._mat[r, c]
-
     @property
     def trace(self) -> float:
         return float(self._full_diagonal().sum().real)
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self._mat - self._mat.conj().T)))
-
-    def to_entries(self) -> dict[tuple[int, int], complex]:
-        """The nonzero entries, keyed by site pair."""
-        out = {}
-        lo, step = self._lo, self._step
-        rows, cols = np.nonzero(self._mat)
-        for r, c in zip(rows, cols):
-            out[(lo + step * r, lo + step * c)] = self._mat[r, c]
-        return out
 
     def diagonal(self) -> SiteDistribution:
         """Site occupation probabilities from the diagonal.

@@ -172,12 +172,14 @@ def phi_matrix(config: WalkConfig) -> RealKernel:
 
 
 def delayed_kernel(config: WalkConfig, m: int = 2) -> RealKernel:
-    """The fixed doubly stochastic kernel of the period-m delayed walk."""
+    """The fixed doubly stochastic kernel of the period-m delayed walk.
+
+    Tracing the coin every m steps applies the m-step Kraus pair each
+    period, so this is the m-step quantum kernel.
+    """
     if m < 1:
         raise ValueError(f"trace period must be at least 1, got {m}")
-    b0, b1 = kraus_pair(config, m)
-    op = b0.hadamard_conj(b0) + b1.hadamard_conj(b1)
-    return RealKernel.from_laurent(op, "stochastic")
+    return quantum_kernel(config, m)
 
 
 def kernel_walk(kernel: RealKernel, n: int) -> list[SiteDistribution]:

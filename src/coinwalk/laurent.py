@@ -126,9 +126,6 @@ class FiniteSequence:
             return NotImplemented
         return type(self)(window_sum([(self.lo, self.values), (other.lo, -other.values)]))
 
-    def __neg__(self):
-        return type(self)((self.lo, -self.values))
-
     def __mul__(self, other):
         if isinstance(other, FiniteSequence):
             return self.convolve(other)
@@ -198,9 +195,6 @@ class LaurentOperator(FiniteSequence):
         out.imag = a.imag * b.real - a.real * b.imag
         return LaurentOperator((lo, out))
 
-    def is_normal(self, tol: float = 1e-12) -> bool:
-        return (self * self.adjoint()).isclose(self.adjoint() * self, tol)
-
     # -- dense realization --------------------------------------------------
 
     def to_dense(self, window: Iterable[int]) -> np.ndarray:
@@ -251,12 +245,6 @@ class CoinBlock:
                 out[r][c] = self[r, 0] * other[0, c] + self[r, 1] * other[1, c]
         return CoinBlock(out)
 
-    def adjoint(self) -> "CoinBlock":
-        return CoinBlock(
-            ((self[0, 0].adjoint(), self[1, 0].adjoint()),
-             (self[0, 1].adjoint(), self[1, 1].adjoint()))
-        )
-
     def power(self, n: int) -> "CoinBlock":
         """Block power by binary exponentiation; n = 0 gives the identity block."""
         if n < 0:
@@ -269,14 +257,6 @@ class CoinBlock:
             base = base @ base if n > 1 else base
             n >>= 1
         return CoinBlock.identity() if result is None else result
-
-    def unitarity_defect(self) -> float:
-        """Max coefficient deviation of B B-dagger from the identity block."""
-        prod = self @ self.adjoint()
-        ident = CoinBlock.identity()
-        return max(
-            prod[r, c].distance(ident[r, c]) for r in (0, 1) for c in (0, 1)
-        )
 
     def max_degree(self) -> int:
         degs = [abs(d) for r in (0, 1) for c in (0, 1) for d in self[r, c].support]

@@ -217,7 +217,7 @@ def suite_prop2(max_steps: int, tol: float | None = None) -> list[dict]:
             "period2-kraus-closed-form",
             {"config": "symmetric p=1/2"},
             max(b0.distance(b0_closed), b1.distance(b1_closed)),
-            1e-12 if tol is None else tol,
+            tol,
         )
     )
 

@@ -9,7 +9,7 @@ a genuine cross-check.
 import numpy as np
 import pytest
 
-from coinwalk.engine import SiteDistribution, WalkConfig
+from coinwalk.engine import DensityMatrix, SiteDistribution, WalkConfig
 
 P_GRID = (0.25, 1.0 / 3.0, 0.5, 0.75)
 COIN_INITS = ((0.0, 1.0), (1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)))
@@ -79,3 +79,13 @@ def binomial_distribution(n: int, right: float) -> SiteDistribution:
         site = n - 2 * k
         probs[site] = comb(n, k) * right ** (n - k) * (1.0 - right) ** k
     return SiteDistribution({s: p for s, p in probs.items() if p > 0.0})
+
+
+def from_entries(entries) -> DensityMatrix:
+    """A density matrix from ``{(i, j): value}``, through the dense window it spans."""
+    sites = sorted({i for i, _ in entries} | {j for _, j in entries})
+    lo = sites[0]
+    mat = np.zeros((sites[-1] - lo + 1,) * 2, dtype=complex)
+    for (i, j), v in entries.items():
+        mat[i - lo, j - lo] = v
+    return DensityMatrix(mat, lo)

@@ -298,12 +298,6 @@ class TestEntropySeries:
             assert series.slope > 0
             assert len(series.descents) >= 1
 
-    def test_increasing_runs_found(self, symmetric):
-        trajectory = global_trajectory(symmetric, 60)
-        series = entropy_series(trajectory)
-        # some arithmetic subsequence of stride > 1 increases for a while
-        assert any(length >= 4 for _, length in series.increasing_runs.values())
-
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
             entropy_series([])

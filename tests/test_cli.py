@@ -99,6 +99,27 @@ TRAJECTORY_OUTPUTS = {
     "majorize": ["analyze", "majorize"],
 }
 
+#: sha256 of further outputs, keyed by name: (arguments without --out, digest).
+#: Recorded while ``analyze`` built one trajectory per branch and the JSON
+#: emitter read each site through ``support`` and ``__getitem__``.
+OUTPUT_SHA256 = {
+    "sigma-global": ("analyze sigma --scheme global --p 0.25 --symmetric --steps 40", "4b400f44132a3174b7859f3bfb886e195dd171814e4cda99c47a8011473be0df"),
+    "entropy-global": ("analyze entropy --scheme global --p 0.25 --symmetric --steps 40", "faf9502e5a1aa6a5388b19085b029b9ff898adead8b1c1a28dc189fa84a10e1d"),
+    "sigma-kernel": ("analyze sigma --scheme kernel --p 0.25 --symmetric --steps 40", "2d72369ee26fe91dea0d1f811d6af14d4f1557fdaba848613eee33a9bbef48d3"),
+    "entropy-kernel": ("analyze entropy --scheme kernel --p 0.25 --symmetric --steps 40", "4dc70246427f112e2247c82cc9ba8b967551297fe02bf47244eab885c99d35d1"),
+    "sigma-cp": ("analyze sigma --scheme cp --p 0.25 --symmetric --steps 40", "6adf4d37e78c0b1add6dbeb949fa7af4dc537c2ed00612f95c74440b2ba7cbc3"),
+    "entropy-cp": ("analyze entropy --scheme cp --p 0.25 --symmetric --steps 40", "7a9ab86ee94245bac6ff0bebe7139f6e455d48ff65793fc0de53f936aa48524a"),
+    "json-global": ("simulate --emit json --scheme global --p 0.25 --symmetric --steps 40", "9d7c81b056767aea574cf6ba64ef87eaf09f361b7a8d4341597efe8d620a5ee6"),
+    "svg-global": ("simulate --emit svg --scheme global --p 0.25 --symmetric --steps 40", "1f12ee6673afe2cfbeb8dc58ffbbe3e110d211f3becee88e5cc3e98e077ffa2d"),
+    "json-prompt": ("simulate --emit json --scheme prompt --p 0.25 --symmetric --steps 40", "8dc3a3e4813c17be4818685d0a657cf6eff57e326c276c0b6780cecdbdbf3d8e"),
+    "svg-prompt": ("simulate --emit svg --scheme prompt --p 0.25 --symmetric --steps 40", "d51b3fb9d02be6b8ee767d210596881c8facf451696a73e66018b647928e2705"),
+    "json-kernel": ("simulate --emit json --scheme kernel --p 0.25 --symmetric --steps 40", "f7ebe73a5815db1df5fed634710dcbc7248eac8b46a7730ba79e8d5512d57fce"),
+    "svg-kernel": ("simulate --emit svg --scheme kernel --p 0.25 --symmetric --steps 40", "fd8e11f8ca1792049576e32e08948277954dc0ed6d2825b2dba2476b00878a83"),
+    "figure-lorenz": ("figure lorenz --p 0.25 --steps 0,10,40", "2e2607ba688f8e87292776f38708f072a77e6519923e4989b890eabc67e84b22"),
+    "figure-lorenz-coin": ("figure lorenz --p 0.25 --coin c=0,d=1 --steps 0,10,40", "baf2586d15927f5ef2c41a8e254893f7f00403132f5337d6ca5b4bb9cb34ab08"),
+    "figure-memory-diagram": ("figure memory-diagram --steps 5", "1225655477802b3c8d4beeb9b5b1bc81876252596848ffec73f388ea877cf14f"),
+}
+
 
 class TestSimulate:
     def test_global_json_step_six(self, capsys):
@@ -218,6 +239,13 @@ class TestTrajectoryByteIdentity:
                   "--p", "0.5", "--symmetric", "--out", str(path)])
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == recorded["simulate-global-csv|p=0.5,coin=symmetric"]
+
+    @pytest.mark.parametrize("key", sorted(OUTPUT_SHA256))
+    def test_more_outputs_match_recorded_digests(self, tmp_path, key):
+        args, digest = OUTPUT_SHA256[key]
+        path = tmp_path / "out"
+        assert cli.main(args.split() + ["--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 #: Floats whose 17-digit forms are edge cases: signed zero, the smallest
@@ -357,6 +385,16 @@ class TestFigure:
                          "--out", str(path)])
         assert code == 0
         assert path.read_text().count('class="column"') == 5
+
+    @pytest.mark.parametrize("which", ["memory-diagram", "entropy", "lorenz"])
+    def test_empty_step_list_is_argument_error(self, capsys, tmp_path, which):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["figure", which, "--steps", ",", "--out", str(tmp_path / "f.svg")])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: coinwalk figure")
+        assert "argument --steps: expected a comma list of integers, got ','" in captured.err
+        assert not (tmp_path / "f.svg").exists()
 
     def test_figure_determinism(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"

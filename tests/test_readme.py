@@ -1,17 +1,28 @@
-"""The README's library quick start runs, and the package namespace is what it uses."""
+"""The README's quick start and CLI examples run; the namespace is what the quick start uses."""
 
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import coinwalk
+from coinwalk import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def code_block(heading: str, language: str) -> str:
+    section = README.read_text(encoding="utf-8").split(heading, 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
 def quick_start_code() -> str:
-    text = README.read_text(encoding="utf-8")
-    section = text.split("## Quick start", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return code_block("## Quick start", "python")
+
+
+CLI_COMMANDS = [line for line in code_block("## CLI", "sh").splitlines()
+                if line.startswith("coinwalk ")]
 
 
 def test_quick_start_runs():
@@ -30,3 +41,18 @@ def test_exported_names_resolve():
 def test_quick_start_uses_exactly_the_exported_names():
     used = set(re.findall(r"\bcw\.(\w+)", quick_start_code()))
     assert used == set(coinwalk.__all__)
+
+
+def test_cli_block_lists_the_commands():
+    assert len(CLI_COMMANDS) == 10
+
+
+@pytest.mark.parametrize("command", CLI_COMMANDS)
+def test_cli_command_runs(tmp_path, command):
+    argv = shlex.split(command)[1:]
+    if "--out" in argv:
+        k = argv.index("--out") + 1
+        argv[k] = str(tmp_path / argv[k])
+    else:
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
