@@ -15,13 +15,8 @@ import sys
 import numpy as np
 
 from . import analysis, svgplot
-from .engine import (
-    WalkConfig,
-    cp_walk,
-    global_trajectory,
-    prompt_trajectory,
-)
-from .kernels import delayed_kernel, kernel_walk
+from .engine import WalkConfig, cp_walk, global_trajectory
+from .kernels import delayed_kernel, kernel_walk, prompt_trajectory
 from .verify import run_suite
 
 SCHEMES = ("prompt", "global", "kernel", "cp")
@@ -250,40 +245,28 @@ def entropy_figure_series(p_values: list[float], steps: int):
     return series
 
 
-def cmd_figure(args) -> int:
-    if args.which == "memory-diagram":
-        _write(args.out, svgplot.memory_diagram(args.steps[0]))
-        return 0
-    p_values = args.p if args.p else [0.5]
-    if args.which == "lorenz":
-        if args.coin is not None:
-            config = WalkConfig(c=args.coin[0], d=args.coin[1], p=p_values[0])
-        else:
-            config = WalkConfig.symmetric(p_values[0])
-        series = lorenz_figure_series(config, args.steps, args.scheme, args.m)
-        _write(
-            args.out,
-            svgplot.line_chart(
-                series,
-                title="Lorenz curves of successive walk distributions",
-                xlabel="fraction of slots",
-                ylabel="cumulative probability",
-            ),
-        )
-        return 0
-    # entropy
-    if not args.p:
-        p_values = [1.0 / 3.0, 0.5, 0.75]
-    series = entropy_figure_series(p_values, args.steps[0])
-    _write(
-        args.out,
-        svgplot.line_chart(
-            series,
-            title="Quantum and classical entropies by step",
-            xlabel="step",
-            ylabel="entropy (nats)",
-        ),
-    )
+def cmd_memory_diagram(args) -> int:
+    _write(args.out, svgplot.memory_diagram(args.steps[0]))
+    return 0
+
+
+def cmd_lorenz_figure(args) -> int:
+    if args.coin is not None:
+        config = WalkConfig(c=args.coin[0], d=args.coin[1], p=args.p)
+    else:
+        config = WalkConfig.symmetric(args.p)
+    series = lorenz_figure_series(config, args.steps, args.scheme, args.m)
+    chart = svgplot.line_chart(series, title="Lorenz curves of successive walk distributions",
+                               xlabel="fraction of slots", ylabel="cumulative probability")
+    _write(args.out, chart)
+    return 0
+
+
+def cmd_entropy_figure(args) -> int:
+    series = entropy_figure_series(args.p or [1.0 / 3.0, 0.5, 0.75], args.steps[0])
+    chart = svgplot.line_chart(series, title="Quantum and classical entropies by step",
+                               xlabel="step", ylabel="entropy (nats)")
+    _write(args.out, chart)
     return 0
 
 
@@ -305,21 +288,21 @@ def _json_default(obj):
 # -- parser -----------------------------------------------------------------
 
 
-def _add_walk_options(parser, *, p_list=False):
-    parser.add_argument("--scheme", choices=SCHEMES, default="global")
-    if p_list:
-        parser.add_argument("--p", type=_float_list, default=None,
-                            help="coin bias, or comma list of biases")
-    else:
-        parser.add_argument("--p", type=float, default=None,
-                            help="coin bias in [0, 1]")
-    parser.add_argument(
-        "--coin", type=parse_coin, default=None,
-        help="initial coin amplitudes, c=<complex>,d=<complex> with i literals",
-    )
+def _add_walk_options(parser):
+    parser.add_argument("--p", type=float, default=None, help="coin bias in [0, 1]")
     parser.add_argument(
         "--symmetric", action="store_true",
         help="use the canonical symmetric initialization c=1/sqrt(2), d=i/sqrt(2)",
+    )
+    _add_scheme_options(parser)
+
+
+def _add_scheme_options(parser):
+    """The walk options shared with ``figure lorenz``: scheme, coin, period, output."""
+    parser.add_argument("--scheme", choices=SCHEMES, default="global")
+    parser.add_argument(
+        "--coin", type=parse_coin, default=None,
+        help="initial coin amplitudes, c=<complex>,d=<complex> with i literals",
     )
     parser.add_argument("--m", type=int, default=2,
                         help="trace period for the kernel and cp schemes")
@@ -346,11 +329,22 @@ def build_parser() -> argparse.ArgumentParser:
     ana.set_defaults(func=cmd_analyze)
 
     fig = sub.add_parser("figure", help="render a static SVG figure")
-    fig.add_argument("which", choices=("memory-diagram", "lorenz", "entropy"))
-    _add_walk_options(fig, p_list=True)
-    fig.add_argument("--steps", type=_int_list, required=True,
-                     help="step count, or comma list of steps for lorenz")
-    fig.set_defaults(func=cmd_figure)
+    figures = fig.add_subparsers(dest="which", required=True)
+    memory = figures.add_parser("memory-diagram", help="the pseudo-memory diagram")
+    memory.set_defaults(func=cmd_memory_diagram)
+    entropy = figures.add_parser("entropy", help="global-walk and classical entropies by step")
+    entropy.add_argument("--p", type=_float_list, default=None,
+                         help="comma list of coin biases (default 1/3,0.5,0.75)")
+    entropy.set_defaults(func=cmd_entropy_figure)
+    for figure in (memory, entropy):
+        figure.add_argument("--steps", type=_int_list, required=True, help="step count")
+        figure.add_argument("--out", default=None, help="output path (default stdout)")
+    lorenz = figures.add_parser("lorenz", help="Lorenz curves of chosen steps")
+    lorenz.add_argument("--p", type=float, default=0.5, help="coin bias in [0, 1]")
+    _add_scheme_options(lorenz)
+    lorenz.add_argument("--steps", type=_int_list, required=True,
+                        help="comma list of steps")
+    lorenz.set_defaults(func=cmd_lorenz_figure)
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument(

@@ -2,12 +2,15 @@
 
 Three tracing schemes are supported:
 
-* prompt  -- the coin is traced after every step; the walk is a biased
-  classical random walk and distributions are binomial.
 * global  -- the coin is traced once, after all steps; distributions come
-  from a single completely positive map with two Kraus generators.
-* delayed -- the coin is traced every m steps; the walk iterates a fixed
+  from a single completely positive map with two Kraus generators, and
+  ``global_trajectory`` evolves the joint amplitudes directly.
+* delayed -- the coin is traced every m steps; ``cp_walk`` iterates a fixed
   CP map whose Kraus generators are those of an m-step global walk.
+* prompt  -- the coin is traced after every step; the walk is a biased
+  classical random walk and distributions are binomial.  It is the
+  period-1 kernel walk, so it lives in :mod:`coinwalk.kernels`
+  (``prompt_trajectory``, ``prompt_distribution``).
 """
 
 from __future__ import annotations
@@ -330,33 +333,6 @@ def _amplitude_distribution(psi: np.ndarray, offset: int) -> SiteDistribution:
 def global_distribution(config: WalkConfig, n: int) -> SiteDistribution:
     """Distribution after n steps with a single final trace of the coin."""
     return _amplitude_distribution(_last(_global_amplitudes(config, n)), n)
-
-
-def prompt_trajectory(config: WalkConfig, n: int) -> list[SiteDistribution]:
-    """Distributions of the promptly traced walk for steps 0..n."""
-    return [SiteDistribution(probs) for probs in _prompt_probabilities(config, n)]
-
-
-def _prompt_probabilities(config: WalkConfig, n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Site probabilities ``(lo, values)`` of the prompt walk after steps 0..n."""
-    if n < 0:
-        raise ValueError(f"step count must be nonnegative, got {n}")
-    u = config.coin_unitary
-    right = abs(u[0, 0] * config.c + u[0, 1] * config.d) ** 2
-    left = abs(u[1, 0] * config.c + u[1, 1] * config.d) ** 2
-    step = np.array([left, right])
-    probs = np.array([1.0])
-    yield 0, probs
-    for k in range(1, n + 1):
-        probs = np.convolve(probs, step)
-        sites = np.zeros(2 * probs.size - 1)
-        sites[::2] = probs  # a step changes the site parity
-        yield -k, sites
-
-
-def prompt_distribution(config: WalkConfig, n: int) -> SiteDistribution:
-    """Distribution after n steps with the coin traced after every step."""
-    return SiteDistribution(_last(_prompt_probabilities(config, n)))
 
 
 def _last(steps: Iterator):

@@ -11,11 +11,11 @@ double stochasticity a one-line check.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from .engine import NORM_TOL, SiteDistribution, WalkConfig, kraus_pair
+from .engine import NORM_TOL, SiteDistribution, WalkConfig, _last, kraus_pair
 from .laurent import TRIM_TOL, FiniteSequence, LaurentOperator, window_sum
 
 REAL_TOL = 1e-12
@@ -184,16 +184,43 @@ def delayed_kernel(config: WalkConfig, m: int = 2) -> RealKernel:
 
 def kernel_walk(kernel: RealKernel, n: int) -> list[SiteDistribution]:
     """Repeatedly apply a stochastic kernel to the origin delta; returns the n+1 distributions."""
+    return list(_kernel_steps(kernel, n))
+
+
+def _kernel_steps(kernel: RealKernel, n: int) -> Iterator[SiteDistribution]:
+    """The kernel walk's distributions after steps 0..n, one at a time."""
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
     if kernel.kind != "stochastic":
         raise ValueError("kernel walk requires a stochastic kernel")
     current = SiteDistribution.delta(0)
-    trajectory = [current]
+    yield current
     for _ in range(n):
         current = kernel.apply_distribution(current)
-        trajectory.append(current)
-    return trajectory
+        yield current
+
+
+def _prompt_kernel(config: WalkConfig) -> RealKernel:
+    """The one-step kernel of the walk whose coin is traced after every step.
+
+    Tracing every step restarts each step from the initial coin, so the walk
+    is the period-1 kernel walk.  The weights are taken as ``abs(a) ** 2``;
+    ``delayed_kernel(config, 1)`` forms re^2 + im^2, which rounds differently.
+    """
+    u = config.coin_unitary
+    right = abs(u[0, 0] * config.c + u[0, 1] * config.d) ** 2
+    left = abs(u[1, 0] * config.c + u[1, 1] * config.d) ** 2
+    return RealKernel({-1: left, +1: right}, "stochastic")
+
+
+def prompt_trajectory(config: WalkConfig, n: int) -> list[SiteDistribution]:
+    """Distributions of the promptly traced walk for steps 0..n."""
+    return kernel_walk(_prompt_kernel(config), n)
+
+
+def prompt_distribution(config: WalkConfig, n: int) -> SiteDistribution:
+    """Distribution after n steps with the coin traced after every step."""
+    return _last(_kernel_steps(_prompt_kernel(config), n))
 
 
 def binomial_solution(config: WalkConfig, n: int) -> SiteDistribution:

@@ -23,7 +23,6 @@ from coinwalk.engine import (
     cp_walk,
     global_trajectory,
     kraus_pair,
-    prompt_trajectory,
 )
 from coinwalk.kernels import (
     SHIFT_DIFFERENCE,
@@ -33,6 +32,7 @@ from coinwalk.kernels import (
     kernel_walk,
     mixing_matrix,
     phi_matrix,
+    prompt_trajectory,
     pseudo_memory_reconstruct,
     quantum_kernel,
     reshuffling_matrix,

@@ -16,13 +16,8 @@ from coinwalk.analysis import (
     shannon_entropy,
     standard_deviation,
 )
-from coinwalk.engine import (
-    SiteDistribution,
-    WalkConfig,
-    global_trajectory,
-    prompt_trajectory,
-)
-from coinwalk.kernels import RealKernel
+from coinwalk.engine import SiteDistribution, WalkConfig, global_trajectory
+from coinwalk.kernels import RealKernel, prompt_trajectory
 
 
 def uniform(n, offset=0):

@@ -102,6 +102,8 @@ TRAJECTORY_OUTPUTS = {
 #: sha256 of further outputs, keyed by name: (arguments without --out, digest).
 #: Recorded while ``analyze`` built one trajectory per branch and the JSON
 #: emitter read each site through ``support`` and ``__getitem__``.
+#: The ``*-prompt`` entries at p = 1/3 and 3/4 were recorded while the prompt
+#: walk convolved parity-compressed arrays instead of stepping a kernel walk.
 OUTPUT_SHA256 = {
     "sigma-global": ("analyze sigma --scheme global --p 0.25 --symmetric --steps 40", "4b400f44132a3174b7859f3bfb886e195dd171814e4cda99c47a8011473be0df"),
     "entropy-global": ("analyze entropy --scheme global --p 0.25 --symmetric --steps 40", "faf9502e5a1aa6a5388b19085b029b9ff898adead8b1c1a28dc189fa84a10e1d"),
@@ -118,6 +120,18 @@ OUTPUT_SHA256 = {
     "figure-lorenz": ("figure lorenz --p 0.25 --steps 0,10,40", "2e2607ba688f8e87292776f38708f072a77e6519923e4989b890eabc67e84b22"),
     "figure-lorenz-coin": ("figure lorenz --p 0.25 --coin c=0,d=1 --steps 0,10,40", "baf2586d15927f5ef2c41a8e254893f7f00403132f5337d6ca5b4bb9cb34ab08"),
     "figure-memory-diagram": ("figure memory-diagram --steps 5", "1225655477802b3c8d4beeb9b5b1bc81876252596848ffec73f388ea877cf14f"),
+    "csv-prompt p=1/3 c=0,d=1": ("simulate --emit csv --scheme prompt --p 0.3333333333333333 --coin c=0,d=1 --steps 40", "2c2e80debe614e0b02921876e5ef21e8c972ac6e1fa9e7fe5d59a3566b886bee"),
+    "entropy-prompt p=1/3 c=0,d=1": ("analyze entropy --scheme prompt --p 0.3333333333333333 --coin c=0,d=1 --steps 40", "ca50efbd8245278946d15705f6b8b05080feae597d29f747e4f498ba02e2a947"),
+    "majorize-prompt p=1/3 c=0,d=1": ("analyze majorize --scheme prompt --p 0.3333333333333333 --coin c=0,d=1 --steps 40", "418984585515cdf1cfdbc6583f1969ee8c87673796c3a7180d91716f668da004"),
+    "csv-prompt p=1/3 c=0.6,d=0.8i": ("simulate --emit csv --scheme prompt --p 0.3333333333333333 --coin c=0.6,d=0.8i --steps 40", "488896d819153d067e6d9808da59e4e39fb82cc283c197d6c7a00b9996f5f570"),
+    "entropy-prompt p=1/3 c=0.6,d=0.8i": ("analyze entropy --scheme prompt --p 0.3333333333333333 --coin c=0.6,d=0.8i --steps 40", "30270ff3c2ada310aa42434c670d6b76f8e269a24319eb276d31c43ac28ba726"),
+    "majorize-prompt p=1/3 c=0.6,d=0.8i": ("analyze majorize --scheme prompt --p 0.3333333333333333 --coin c=0.6,d=0.8i --steps 40", "418984585515cdf1cfdbc6583f1969ee8c87673796c3a7180d91716f668da004"),
+    "csv-prompt p=3/4 c=0,d=1": ("simulate --emit csv --scheme prompt --p 0.75 --coin c=0,d=1 --steps 40", "3fedfbe78380b58fb5691b70bfacc855286425ca666f32d928960ba3bcbb31bb"),
+    "entropy-prompt p=3/4 c=0,d=1": ("analyze entropy --scheme prompt --p 0.75 --coin c=0,d=1 --steps 40", "93d963bf0dff0f31645a29c0c396f0ff97eba1268c9300e4e4f09e108b1ca608"),
+    "majorize-prompt p=3/4 c=0,d=1": ("analyze majorize --scheme prompt --p 0.75 --coin c=0,d=1 --steps 40", "418984585515cdf1cfdbc6583f1969ee8c87673796c3a7180d91716f668da004"),
+    "csv-prompt p=3/4 c=0.6,d=0.8i": ("simulate --emit csv --scheme prompt --p 0.75 --coin c=0.6,d=0.8i --steps 40", "cb75239bcdc9c682a0fd52a0d54f34c3e187b9b3f812bf1ec255adad17b65588"),
+    "entropy-prompt p=3/4 c=0.6,d=0.8i": ("analyze entropy --scheme prompt --p 0.75 --coin c=0.6,d=0.8i --steps 40", "3e5e9f6d133c171965c679465fd2251b3238caff405404a358847af1443f3f7e"),
+    "majorize-prompt p=3/4 c=0.6,d=0.8i": ("analyze majorize --scheme prompt --p 0.75 --coin c=0.6,d=0.8i --steps 40", "418984585515cdf1cfdbc6583f1969ee8c87673796c3a7180d91716f668da004"),
 }
 
 
@@ -239,6 +253,18 @@ class TestTrajectoryByteIdentity:
                   "--p", "0.5", "--symmetric", "--out", str(path)])
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == recorded["simulate-global-csv|p=0.5,coin=symmetric"]
+
+    def test_long_entropy_matches_benchmark_digest(self, tmp_path):
+        # the benchmark's recorded sha256 of this 1500-step table (read only);
+        # its classical column is the prompt walk at the benchmark's size
+        recorded = json.loads(
+            (REPO / "perfbench" / "reference" / "cli_sha256.json").read_text()
+        )
+        path = tmp_path / "entropy.csv"
+        cli.main(["analyze", "entropy", "--steps", "1500", "--p", "0.3333333333333333",
+                  "--coin", "c=0,d=1", "--out", str(path)])
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == recorded["entropy-global|p=0.3333333333333333,coin=c=0,d=1"]
 
     @pytest.mark.parametrize("key", sorted(OUTPUT_SHA256))
     def test_more_outputs_match_recorded_digests(self, tmp_path, key):
@@ -395,6 +421,28 @@ class TestFigure:
         assert captured.err.startswith("usage: coinwalk figure")
         assert "argument --steps: expected a comma list of integers, got ','" in captured.err
         assert not (tmp_path / "f.svg").exists()
+
+    @pytest.mark.parametrize("options", [
+        ["entropy", "--scheme", "cp"],
+        ["entropy", "--coin", "c=0,d=1"],
+        ["entropy", "--symmetric"],
+        ["entropy", "--m", "3"],
+        ["memory-diagram", "--p", "0.3"],
+        ["memory-diagram", "--scheme", "cp"],
+        ["lorenz", "--symmetric"],
+        ["lorenz", "--p", "0.25,0.5"],
+    ])
+    def test_option_the_figure_does_not_read_is_argument_error(self, capsys, tmp_path,
+                                                               options):
+        # each figure declares only the options it reads, so none is ignored
+        out = tmp_path / "f.svg"
+        with pytest.raises(SystemExit) as err:
+            cli.main(["figure", *options, "--steps", "4", "--out", str(out)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: coinwalk")
+        assert options[1] in captured.err
+        assert not out.exists()
 
     def test_figure_determinism(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"

@@ -15,10 +15,8 @@ from coinwalk.engine import (
     global_distribution,
     global_trajectory,
     kraus_pair,
-    prompt_distribution,
-    prompt_trajectory,
 )
-from coinwalk.kernels import delayed_kernel
+from coinwalk.kernels import delayed_kernel, prompt_distribution, prompt_trajectory
 from coinwalk.laurent import IDENTITY, LaurentOperator
 
 from conftest import (

@@ -22,6 +22,8 @@ from coinwalk.kernels import (
     kernel_walk,
     mixing_matrix,
     phi_matrix,
+    prompt_distribution,
+    prompt_trajectory,
     pseudo_memory_reconstruct,
     quantum_kernel,
     reshuffling_matrix,
@@ -253,6 +255,34 @@ class TestKernelWalk:
         for j in range(30):
             verdict = compare_majorization(walk[j], walk[j + 1])
             assert verdict.relation in (Verdict.FIRST_MAJORIZES, Verdict.EQUAL)
+
+    @pytest.mark.parametrize("p", P_GRID)
+    @pytest.mark.parametrize("c,d", COIN_INITS)
+    def test_prompt_is_period_one_delayed_walk(self, p, c, d):
+        # tracing every step is the period-1 delayed walk.  The prompt kernel
+        # takes |a|^2 through abs and the delayed one as re^2 + im^2, so the
+        # two one-step kernels may differ in the last bit; K^n - L^n =
+        # sum_j K^j (K - L) L^(n-1-j) then grows by at most ||K - L||_1 per step
+        cfg = WalkConfig(c=c, d=d, p=p)
+        prompt = prompt_trajectory(cfg, 60)
+        delayed = kernel_walk(delayed_kernel(cfg, 1), 60)
+        assert len(prompt) == len(delayed) == 61
+        one_step = prompt[1].distance(delayed[1])
+        assert one_step <= 1e-15
+        for n, (got, want) in enumerate(zip(prompt, delayed)):
+            assert got.distance(want) <= 1e-15 + n * 2 * one_step
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 25])
+    def test_prompt_distribution_is_last_trajectory_step(self, n):
+        cfg = WalkConfig(c=0.6, d=0.8j, p=1.0 / 3.0)
+        dist = prompt_distribution(cfg, n)
+        last = prompt_trajectory(cfg, n)[-1]
+        assert dist.lo == last.lo
+        assert dist.values.tobytes() == last.values.tobytes()
+
+    def test_negative_prompt_steps_rejected(self, symmetric):
+        with pytest.raises(ValueError, match="nonnegative"):
+            prompt_distribution(symmetric, -1)
 
 
 #: sha256 over n = 0..21 of ``repr(lo)`` and ``values.tobytes()`` of
