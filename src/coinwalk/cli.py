@@ -73,6 +73,13 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+def _step_count(text: str) -> int:
+    values = _int_list(text)
+    if len(values) > 1:
+        raise argparse.ArgumentTypeError(f"expected one step count, got {text!r}")
+    return values[0]
+
+
 def _float_list(text: str) -> list[float]:
     return [float(s) for s in text.split(",") if s]
 
@@ -208,7 +215,9 @@ def cmd_analyze(args) -> int:
         lines = ["step,scheme,sigma,ratio_to_classical"]
         for n in range(1, len(trajectory)):
             sigma = analysis.standard_deviation(trajectory[n])
-            ratio = sigma / math.sqrt(n)
+            # the classical walk's spread; 0 at p = 0 or 1, where a ratio is inf or nan
+            spread = 2 * math.sqrt(n * config.p * (1 - config.p))
+            ratio = sigma / spread if spread else (math.inf if sigma else math.nan)
             lines.append(f"{n},{args.scheme},{_fmt(sigma)},{_fmt(ratio)}")
         _write(args.out, "\n".join(lines) + "\n")
     return 0
@@ -246,7 +255,7 @@ def entropy_figure_series(p_values: list[float], steps: int):
 
 
 def cmd_memory_diagram(args) -> int:
-    _write(args.out, svgplot.memory_diagram(args.steps[0]))
+    _write(args.out, svgplot.memory_diagram(args.steps))
     return 0
 
 
@@ -263,7 +272,7 @@ def cmd_lorenz_figure(args) -> int:
 
 
 def cmd_entropy_figure(args) -> int:
-    series = entropy_figure_series(args.p or [1.0 / 3.0, 0.5, 0.75], args.steps[0])
+    series = entropy_figure_series(args.p or [1.0 / 3.0, 0.5, 0.75], args.steps)
     chart = svgplot.line_chart(series, title="Quantum and classical entropies by step",
                                xlabel="step", ylabel="entropy (nats)")
     _write(args.out, chart)
@@ -337,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma list of coin biases (default 1/3,0.5,0.75)")
     entropy.set_defaults(func=cmd_entropy_figure)
     for figure in (memory, entropy):
-        figure.add_argument("--steps", type=_int_list, required=True, help="step count")
+        figure.add_argument("--steps", type=_step_count, required=True, help="step count")
         figure.add_argument("--out", default=None, help="output path (default stdout)")
     lorenz = figures.add_parser("lorenz", help="Lorenz curves of chosen steps")
     lorenz.add_argument("--p", type=float, default=0.5, help="coin bias in [0, 1]")

@@ -270,12 +270,15 @@ def kraus_pair(config: WalkConfig, n: int) -> tuple[LaurentOperator, LaurentOper
 def _step_power(coin: bytes, n: int) -> CoinBlock:
     """The n-th power of the step operator of the coin unitary with these bytes.
 
-    Memoised because the verify suites and the pseudo-memory sums ask for
-    the same few powers thousands of times; blocks are immutable.  The
-    bound holds every power a 200-step pseudo-memory sum needs.
+    Memoised, and built from cached smaller powers: a new n costs the one
+    block product ``CoinBlock.power`` ends with, so the blocks are
+    bit-identical to it.  An evicted power is rebuilt the same way.
     """
-    u = np.frombuffer(coin, dtype=complex).reshape(2, 2)
-    block = _step_operator(u).power(n)
+    if n <= 1:
+        u = np.frombuffer(coin, dtype=complex).reshape(2, 2)
+        return _step_operator(u) if n else CoinBlock.identity()
+    top = 1 << ((n - 1).bit_length() - 1)  # the largest power of two below n
+    block = _step_power(coin, n - top) @ _step_power(coin, top)
     if block.max_degree() > n:
         raise AssertionError("operator support escaped the light cone")
     return block

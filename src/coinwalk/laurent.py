@@ -259,5 +259,6 @@ class CoinBlock:
         return CoinBlock.identity() if result is None else result
 
     def max_degree(self) -> int:
-        degs = [abs(d) for r in (0, 1) for c in (0, 1) for d in self[r, c].support]
-        return max(degs, default=0)
+        # trimmed ends are nonzero, so each entry's extreme degrees are its ends
+        ops = [op for row in self._entries for op in row if op.values.size]
+        return max((max(-op.lo, op.lo + op.values.size - 1) for op in ops), default=0)

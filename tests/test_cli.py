@@ -104,12 +104,13 @@ TRAJECTORY_OUTPUTS = {
 #: emitter read each site through ``support`` and ``__getitem__``.
 #: The ``*-prompt`` entries at p = 1/3 and 3/4 were recorded while the prompt
 #: walk convolved parity-compressed arrays instead of stepping a kernel walk.
+#: The ``sigma-*`` entries divide by the classical spread 2*sqrt(n*p*(1-p)).
 OUTPUT_SHA256 = {
-    "sigma-global": ("analyze sigma --scheme global --p 0.25 --symmetric --steps 40", "4b400f44132a3174b7859f3bfb886e195dd171814e4cda99c47a8011473be0df"),
+    "sigma-global": ("analyze sigma --scheme global --p 0.25 --symmetric --steps 40", "89fc8b6f7e5b869378d5f5c1aa14df386728a9c762887111e641b644fcf12cb5"),
     "entropy-global": ("analyze entropy --scheme global --p 0.25 --symmetric --steps 40", "faf9502e5a1aa6a5388b19085b029b9ff898adead8b1c1a28dc189fa84a10e1d"),
-    "sigma-kernel": ("analyze sigma --scheme kernel --p 0.25 --symmetric --steps 40", "2d72369ee26fe91dea0d1f811d6af14d4f1557fdaba848613eee33a9bbef48d3"),
+    "sigma-kernel": ("analyze sigma --scheme kernel --p 0.25 --symmetric --steps 40", "754dcc195fbd80579375a7aea7d952e84552cb01f4e8200d88bff75ca66537de"),
     "entropy-kernel": ("analyze entropy --scheme kernel --p 0.25 --symmetric --steps 40", "4dc70246427f112e2247c82cc9ba8b967551297fe02bf47244eab885c99d35d1"),
-    "sigma-cp": ("analyze sigma --scheme cp --p 0.25 --symmetric --steps 40", "6adf4d37e78c0b1add6dbeb949fa7af4dc537c2ed00612f95c74440b2ba7cbc3"),
+    "sigma-cp": ("analyze sigma --scheme cp --p 0.25 --symmetric --steps 40", "d974e03b27fd3aafd3df36573e73941310988f5f0dac1f40e45d4c1501638dd9"),
     "entropy-cp": ("analyze entropy --scheme cp --p 0.25 --symmetric --steps 40", "7a9ab86ee94245bac6ff0bebe7139f6e455d48ff65793fc0de53f936aa48524a"),
     "json-global": ("simulate --emit json --scheme global --p 0.25 --symmetric --steps 40", "9d7c81b056767aea574cf6ba64ef87eaf09f361b7a8d4341597efe8d620a5ee6"),
     "svg-global": ("simulate --emit svg --scheme global --p 0.25 --symmetric --steps 40", "1f12ee6673afe2cfbeb8dc58ffbbe3e110d211f3becee88e5cc3e98e077ffa2d"),
@@ -328,6 +329,28 @@ class TestAnalyze:
         want = [1, 1, 1, math.sqrt(5) / 2, math.sqrt(8 / 5)]
         assert ratios == pytest.approx(want, abs=1e-12)
 
+    def test_sigma_ratio_of_classical_walk_is_one(self, capsys):
+        code, out = run(
+            ["analyze", "sigma", "--scheme", "prompt", "--p", "0.25",
+             "--coin", "c=0,d=1", "--steps", "40"],
+            capsys,
+        )
+        assert code == 0
+        ratios = [float(l.split(",")[3]) for l in out.strip().splitlines()[1:]]
+        assert len(ratios) == 40
+        assert ratios == pytest.approx([1.0] * 40, abs=1e-12)
+
+    def test_sigma_ratio_without_classical_spread(self, capsys):
+        # p = 0: the classical walk does not spread; the global walk does on odd steps
+        code, out = run(
+            ["analyze", "sigma", "--scheme", "global", "--p", "0", "--symmetric",
+             "--steps", "2"],
+            capsys,
+        )
+        assert code == 0
+        assert out == ("step,scheme,sigma,ratio_to_classical\n"
+                       "1,global,0.99999999999999989,inf\n2,global,0,nan\n")
+
     def test_entropy_endpoint(self, capsys):
         code, out = run(
             ["analyze", "entropy", "--symmetric", "--steps", "9"], capsys
@@ -420,6 +443,17 @@ class TestFigure:
         captured = capsys.readouterr()
         assert captured.err.startswith("usage: coinwalk figure")
         assert "argument --steps: expected a comma list of integers, got ','" in captured.err
+        assert not (tmp_path / "f.svg").exists()
+
+    @pytest.mark.parametrize("which", ["memory-diagram", "entropy"])
+    def test_step_list_is_argument_error(self, capsys, tmp_path, which):
+        # these figures draw one step count, so a list would be read in part
+        with pytest.raises(SystemExit) as err:
+            cli.main(["figure", which, "--steps", "20,40", "--out", str(tmp_path / "f.svg")])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage: coinwalk figure {which}")
+        assert "argument --steps: expected one step count, got '20,40'" in captured.err
         assert not (tmp_path / "f.svg").exists()
 
     @pytest.mark.parametrize("options", [

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coinwalk.engine import (
     DensityMatrix,
@@ -9,6 +10,7 @@ from coinwalk.engine import (
     SiteDistribution,
     WalkConfig,
     _global_amplitudes,
+    _step_power,
     build_step_operator,
     cp_apply,
     cp_walk,
@@ -16,7 +18,12 @@ from coinwalk.engine import (
     global_trajectory,
     kraus_pair,
 )
-from coinwalk.kernels import delayed_kernel, prompt_distribution, prompt_trajectory
+from coinwalk.kernels import (
+    delayed_kernel,
+    prompt_distribution,
+    prompt_trajectory,
+    pseudo_memory_reconstruct,
+)
 from coinwalk.laurent import IDENTITY, LaurentOperator
 
 from conftest import (
@@ -31,6 +38,13 @@ from conftest import (
 SQ2 = 1.0 / math.sqrt(2.0)
 #: A general unitary coin: a Hadamard coin with complex phases.
 PHASED_COIN = np.array([[1.0, 1j], [1j, 1.0]]) * np.exp(0.3j) * SQ2
+
+
+def assert_kraus_is_block_power(cfg, n, block):
+    """kraus_pair(cfg, n) is the initial-coin combination of ``block``, bit for bit."""
+    want = (cfg.c * block[0, 0] + cfg.d * block[0, 1], cfg.c * block[1, 0] + cfg.d * block[1, 1])
+    for got, ref in zip(kraus_pair(cfg, n), want):
+        assert (got.lo, got.values.tobytes()) == (ref.lo, ref.values.tobytes()), n
 
 
 def dense_cp(rho, kraus):
@@ -111,6 +125,34 @@ class TestKrausPair:
                 a0, a1 = kraus_pair(cfg, 7)
                 assert a0.distance(cfg.c * block[0, 0] + cfg.d * block[0, 1]) == 0.0
                 assert a1.distance(cfg.c * block[1, 0] + cfg.d * block[1, 1]) == 0.0
+
+    @pytest.mark.parametrize("p", P_GRID)
+    @pytest.mark.parametrize("cd", COIN_INITS)
+    def test_memoised_powers_equal_the_power_loop_bitwise(self, p, cd):
+        # 0..300 runs past the 256-entry cache, so evicted powers are rebuilt
+        cfg = WalkConfig(c=cd[0], d=cd[1], p=p)
+        step = build_step_operator(cfg)
+        _step_power.cache_clear()
+        for n in [*range(301), 511, 512, 513, 1023, 1024, 2049]:
+            assert_kraus_is_block_power(cfg, n, step.power(n))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 70))
+    def test_memoised_powers_of_random_unitary_coins(self, seed, n):
+        rng = np.random.default_rng(seed)
+        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        coin = q * (np.diag(r) / np.abs(np.diag(r)))
+        c, d = rng.normal(size=2) + 1j * rng.normal(size=2)
+        norm = math.hypot(abs(c), abs(d))
+        cfg = WalkConfig(c=c / norm, d=d / norm, coin=coin)
+        assert_kraus_is_block_power(cfg, n, build_step_operator(cfg).power(n))
+
+    def test_reconstruction_same_bytes_cold_and_warm(self):
+        cfg = WalkConfig(c=0.0, d=1.0, p=0.5)
+        _step_power.cache_clear()
+        cold = pseudo_memory_reconstruct(cfg, 200)
+        warm = pseudo_memory_reconstruct(cfg, 200)
+        assert (cold.lo, cold.values.tobytes()) == (warm.lo, warm.values.tobytes())
 
     @pytest.mark.parametrize("p", P_GRID)
     @pytest.mark.parametrize("cd", COIN_INITS)
