@@ -8,15 +8,18 @@ files.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import sys
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import analysis, svgplot
-from .engine import WalkConfig, cp_walk, global_trajectory
-from .kernels import delayed_kernel, kernel_walk, prompt_trajectory
+from .engine import SiteDistribution, WalkConfig, _cp_steps, _global_steps
+from .kernels import _kernel_steps, _prompt_steps, delayed_kernel
 from .verify import run_suite
 
 SCHEMES = ("prompt", "global", "kernel", "cp")
@@ -81,7 +84,10 @@ def _step_count(text: str) -> int:
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(s) for s in text.split(",") if s]
+    values = [float(s) for s in text.split(",") if s]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected a comma list of numbers, got {text!r}")
+    return values
 
 
 def build_config(args) -> WalkConfig:
@@ -101,16 +107,17 @@ def build_config(args) -> WalkConfig:
         raise SystemExit(2)
 
 
-def walk_trajectory(config: WalkConfig, scheme: str, steps: int, m: int):
-    """Step-0..N distributions for any of the four tracing schemes."""
+def walk_steps(config: WalkConfig, scheme: str, steps: int,
+               m: int) -> Iterator[SiteDistribution]:
+    """Step-0..N distributions for any of the four tracing schemes, one at a time."""
     if scheme == "prompt":
-        return prompt_trajectory(config, steps)
+        return _prompt_steps(config, steps)
     if scheme == "global":
-        return global_trajectory(config, steps)
+        return _global_steps(config, steps)
     if scheme == "kernel":
-        return kernel_walk(delayed_kernel(config, m), steps)
+        return _kernel_steps(delayed_kernel(config, m), steps)
     if scheme == "cp":
-        return [rho.diagonal() for rho in cp_walk(config, m, steps)]
+        return (rho.diagonal() for rho in _cp_steps(config, m, steps))
     raise ValueError(f"unknown scheme: {scheme!r}")
 
 
@@ -120,19 +127,27 @@ def walk_trajectory(config: WalkConfig, scheme: str, steps: int, m: int):
 _WRITE_CHUNK = 1 << 20
 
 
-def _write(path: str | None, text: str) -> None:
+def _emit(path: str | None, pieces: Iterable[str]) -> None:
+    """Write the text pieces in order to ``path``, or to stdout for None or "-".
+
+    The pieces are rendered as they are written, so no joined text exists;
+    anything that can fail numerically must have run before this is called,
+    because the file is opened first.
+    """
     try:
         if path is None or path == "-":
-            _write_chunks(sys.stdout, text)
+            stream = contextlib.nullcontext(sys.stdout)
         else:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                _write_chunks(fh, text)
+            stream = open(path, "w", encoding="utf-8", newline="")
+        with stream as fh:
+            for text in pieces:
+                _write(fh, text)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         raise SystemExit(3)
 
 
-def _write_chunks(stream, text: str) -> None:
+def _write(stream, text: str) -> None:
     for start in range(0, len(text), _WRITE_CHUNK):
         stream.write(text[start:start + _WRITE_CHUNK])
 
@@ -150,37 +165,49 @@ def _config_record(config: WalkConfig, scheme: str, m: int) -> dict:
 # -- simulate ---------------------------------------------------------------
 
 
+# The per-site tables are rendered one step at a time as they are written.
+# Their callers list the distributions first, so that a numerical failure in
+# any step is raised before the output is opened.
+
+
+def _site_table(trajectory: list[SiteDistribution]) -> Iterator[str]:
+    yield "step,site,probability\n"
+    for n, dist in enumerate(trajectory):
+        sites, probs = dist.to_arrays()
+        yield _rows(n, "%d,%.17g", sites.tolist(), probs.tolist())
+
+
+def _lorenz_table(trajectory: list[SiteDistribution]) -> Iterator[str]:
+    yield "step,n,n_over_N,gamma\n"
+    for step, dist in enumerate(trajectory):
+        curve = analysis.lorenz_curve(dist)
+        fractions = curve.fractions.tolist()
+        yield _rows(step, "%d,%.17g,%.17g", range(len(fractions)),
+                    fractions, curve.gammas.tolist())
+
+
 def cmd_simulate(args) -> int:
     config = build_config(args)
-    trajectory = walk_trajectory(config, args.scheme, args.steps, args.m)
+    steps = walk_steps(config, args.scheme, args.steps, args.m)
     if args.emit == "csv":
-        rows = ["step,site,probability\n"]
-        for n, dist in enumerate(trajectory):
-            sites, probs = dist.to_arrays()
-            rows.append(_rows(n, "%d,%.17g", sites.tolist(), probs.tolist()))
-        _write(args.out, "".join(rows))
+        _emit(args.out, _site_table(list(steps)))
     elif args.emit == "json":
-        steps = []
-        for n, dist in enumerate(trajectory):
+        records = []
+        for n, dist in enumerate(steps):
             sites, probs = dist.to_arrays()
-            steps.append({"n": n, "sites": sites.tolist(), "probs": probs.tolist()})
-        record = {"config": _config_record(config, args.scheme, args.m), "steps": steps}
-        _write(args.out, json.dumps(record, indent=2) + "\n")
+            records.append({"n": n, "sites": sites.tolist(), "probs": probs.tolist()})
+        record = {"config": _config_record(config, args.scheme, args.m), "steps": records}
+        _emit(args.out, [json.dumps(record, indent=2) + "\n"])
     else:  # svg
+        stride = max((args.steps + 1) // 6, 1)
         series = []
-        for n, dist in enumerate(trajectory):
-            if n == 0 or n % max(len(trajectory) // 6, 1) == 0 or n == len(trajectory) - 1:
+        for n, dist in enumerate(steps):
+            if n % stride == 0 or n == args.steps:
                 sites, probs = dist.to_arrays()
                 series.append((f"step {n}", sites.tolist(), probs.tolist()))
-        _write(
-            args.out,
-            svgplot.line_chart(
-                series,
-                title=f"{args.scheme} walk site distributions",
-                xlabel="site",
-                ylabel="probability",
-            ),
-        )
+        chart = svgplot.line_chart(series, title=f"{args.scheme} walk site distributions",
+                                   xlabel="site", ylabel="probability")
+        _emit(args.out, [chart])
     return 0
 
 
@@ -189,37 +216,30 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     config = build_config(args)
-    trajectory = walk_trajectory(config, args.scheme, args.steps, args.m)
+    steps = walk_steps(config, args.scheme, args.steps, args.m)
+    if args.which == "lorenz":
+        _emit(args.out, _lorenz_table(list(steps)))
+        return 0
     if args.which == "entropy":
-        classical = prompt_trajectory(WalkConfig(c=0.0, d=1.0, p=config.p), args.steps)
+        classical = _prompt_steps(WalkConfig(c=0.0, d=1.0, p=config.p), args.steps)
         lines = ["step,entropy_classical_nats,entropy_quantum_nats"]
-        for n, (dc, dq) in enumerate(zip(classical, trajectory)):
+        for n, (dc, dq) in enumerate(zip(classical, steps)):
             sc, sq = analysis.shannon_entropy(dc), analysis.shannon_entropy(dq)
             lines.append(f"{n},{_fmt(sc)},{_fmt(sq)}")
-        _write(args.out, "\n".join(lines) + "\n")
-    elif args.which == "lorenz":
-        rows = ["step,n,n_over_N,gamma\n"]
-        for step, dist in enumerate(trajectory):
-            curve = analysis.lorenz_curve(dist)
-            fractions = curve.fractions.tolist()
-            rows.append(_rows(step, "%d,%.17g,%.17g", range(len(fractions)),
-                              fractions, curve.gammas.tolist()))
-        _write(args.out, "".join(rows))
     elif args.which == "majorize":
         lines = ["step_a,step_b,verdict,crossings"]
-        for n, verdict in enumerate(analysis.majorization_chain(trajectory)):
+        for n, verdict in enumerate(analysis.majorization_chain(steps)):
             crossings = ";".join(str(i) for i in verdict.crossings)
             lines.append(f"{n},{n + 1},{verdict.relation},{crossings}")
-        _write(args.out, "\n".join(lines) + "\n")
-    elif args.which == "sigma":
+    else:  # sigma
         lines = ["step,scheme,sigma,ratio_to_classical"]
-        for n in range(1, len(trajectory)):
-            sigma = analysis.standard_deviation(trajectory[n])
+        for n, dist in enumerate(itertools.islice(steps, 1, None), 1):
+            sigma = analysis.standard_deviation(dist)
             # the classical walk's spread; 0 at p = 0 or 1, where a ratio is inf or nan
             spread = 2 * math.sqrt(n * config.p * (1 - config.p))
             ratio = sigma / spread if spread else (math.inf if sigma else math.nan)
             lines.append(f"{n},{args.scheme},{_fmt(sigma)},{_fmt(ratio)}")
-        _write(args.out, "\n".join(lines) + "\n")
+    _emit(args.out, ["\n".join(lines) + "\n"])
     return 0
 
 
@@ -227,27 +247,23 @@ def cmd_analyze(args) -> int:
 
 
 def lorenz_figure_series(config: WalkConfig, steps: list[int], scheme: str, m: int):
-    horizon = max(steps)
-    trajectory = walk_trajectory(config, scheme, horizon, m)
-    series = []
-    for n in steps:
-        curve = analysis.lorenz_curve(trajectory[n])
-        series.append(
-            (f"step {n}", curve.fractions.tolist(), curve.gammas.tolist())
-        )
-    return series
+    wanted = set(steps)
+    curves = {n: analysis.lorenz_curve(dist)
+              for n, dist in enumerate(walk_steps(config, scheme, max(steps), m))
+              if n in wanted}
+    return [(f"step {n}", curves[n].fractions.tolist(), curves[n].gammas.tolist())
+            for n in steps]
 
 
 def entropy_figure_series(p_values: list[float], steps: int):
     series = []
     xs = list(range(steps + 1))
     for p in p_values:
-        walk = global_trajectory(WalkConfig.symmetric(p), steps)
+        walk = _global_steps(WalkConfig.symmetric(p), steps)
         series.append(
-            (f"quantum p={p:.4g}", xs,
-             [analysis.shannon_entropy(d) for d in walk])
+            (f"quantum p={p:.4g}", xs, [analysis.shannon_entropy(d) for d in walk])
         )
-    classical = prompt_trajectory(WalkConfig(c=0.0, d=1.0, p=0.5), steps)
+    classical = _prompt_steps(WalkConfig(c=0.0, d=1.0, p=0.5), steps)
     series.append(
         ("classical p=0.5", xs, [analysis.shannon_entropy(d) for d in classical])
     )
@@ -255,7 +271,7 @@ def entropy_figure_series(p_values: list[float], steps: int):
 
 
 def cmd_memory_diagram(args) -> int:
-    _write(args.out, svgplot.memory_diagram(args.steps))
+    _emit(args.out, [svgplot.memory_diagram(args.steps)])
     return 0
 
 
@@ -267,7 +283,7 @@ def cmd_lorenz_figure(args) -> int:
     series = lorenz_figure_series(config, args.steps, args.scheme, args.m)
     chart = svgplot.line_chart(series, title="Lorenz curves of successive walk distributions",
                                xlabel="fraction of slots", ylabel="cumulative probability")
-    _write(args.out, chart)
+    _emit(args.out, [chart])
     return 0
 
 
@@ -275,7 +291,7 @@ def cmd_entropy_figure(args) -> int:
     series = entropy_figure_series(args.p or [1.0 / 3.0, 0.5, 0.75], args.steps)
     chart = svgplot.line_chart(series, title="Quantum and classical entropies by step",
                                xlabel="step", ylabel="entropy (nats)")
-    _write(args.out, chart)
+    _emit(args.out, [chart])
     return 0
 
 
@@ -284,7 +300,7 @@ def cmd_entropy_figure(args) -> int:
 
 def cmd_verify(args) -> int:
     report = run_suite(args.suite, args.max_steps, args.tol)
-    _write(args.out, json.dumps(report, indent=2, default=_json_default) + "\n")
+    _emit(args.out, [json.dumps(report, indent=2, default=_json_default) + "\n"])
     return 0 if report["pass"] else 1
 
 

@@ -293,7 +293,12 @@ def global_trajectory(config: WalkConfig, n: int) -> list[SiteDistribution]:
     Computed by direct evolution of the joint coin-walker amplitudes, a
     deliberately different code path from the Laurent-coefficient kernels.
     """
-    return [_amplitude_distribution(psi, n) for psi in _global_amplitudes(config, n)]
+    return list(_global_steps(config, n))
+
+
+def _global_steps(config: WalkConfig, n: int) -> Iterator[SiteDistribution]:
+    """The distributions of :func:`global_trajectory`, one at a time."""
+    return (_amplitude_distribution(psi, n) for psi in _global_amplitudes(config, n))
 
 
 def _global_amplitudes(config: WalkConfig, n: int) -> Iterator[np.ndarray]:
@@ -392,12 +397,18 @@ def cp_walk(config: WalkConfig, m: int, n_iterations: int) -> list[DensityMatrix
     Returns the trajectory rho^(0), ..., rho^(n_iterations); each iteration
     applies one full trace period of m coin-walker steps.
     """
+    return list(_cp_steps(config, m, n_iterations))
+
+
+def _cp_steps(config: WalkConfig, m: int, n_iterations: int) -> Iterator[DensityMatrix]:
+    """The density matrices of :func:`cp_walk`, holding only the current one."""
     if n_iterations < 0:
         raise ValueError(f"iteration count must be nonnegative, got {n_iterations}")
     if m < 1:
         raise ValueError(f"trace period must be at least 1, got {m}")
     kraus = kraus_pair(config, m)
-    trajectory = [DensityMatrix.delta(0)]
+    rho = DensityMatrix.delta(0)
+    yield rho
     for _ in range(n_iterations):
-        trajectory.append(cp_apply(trajectory[-1], kraus))
-    return trajectory
+        rho = cp_apply(rho, kraus)
+        yield rho

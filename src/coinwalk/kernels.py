@@ -215,12 +215,17 @@ def _prompt_kernel(config: WalkConfig) -> RealKernel:
 
 def prompt_trajectory(config: WalkConfig, n: int) -> list[SiteDistribution]:
     """Distributions of the promptly traced walk for steps 0..n."""
-    return kernel_walk(_prompt_kernel(config), n)
+    return list(_prompt_steps(config, n))
+
+
+def _prompt_steps(config: WalkConfig, n: int) -> Iterator[SiteDistribution]:
+    """The distributions of :func:`prompt_trajectory`, one at a time."""
+    return _kernel_steps(_prompt_kernel(config), n)
 
 
 def prompt_distribution(config: WalkConfig, n: int) -> SiteDistribution:
     """Distribution after n steps with the coin traced after every step."""
-    return _last(_kernel_steps(_prompt_kernel(config), n))
+    return _last(_prompt_steps(config, n))
 
 
 def binomial_solution(config: WalkConfig, n: int) -> SiteDistribution:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -198,16 +199,35 @@ class TestSimulate:
         assert captured.err == "error: --p is required unless --symmetric is given\n"
         assert captured.out == ""
 
-    def test_failing_trajectory_writes_no_file(self, tmp_path, monkeypatch):
-        def failing(config, scheme, steps, m):
+    @pytest.mark.parametrize("argv,source", [
+        (["simulate", "--emit", "csv"], "walk_steps"),
+        (["simulate", "--emit", "json"], "walk_steps"),
+        (["simulate", "--emit", "svg"], "walk_steps"),
+        (["analyze", "entropy"], "walk_steps"),
+        (["analyze", "lorenz"], "walk_steps"),
+        (["analyze", "majorize"], "walk_steps"),
+        (["analyze", "sigma"], "walk_steps"),
+        (["figure", "lorenz", "--steps", "0,3"], "walk_steps"),
+        (["figure", "entropy", "--steps", "3"], "_global_steps"),
+    ], ids=["simulate-csv", "simulate-json", "simulate-svg", "analyze-entropy",
+            "analyze-lorenz", "analyze-majorize", "analyze-sigma", "figure-lorenz",
+            "figure-entropy"])
+    def test_failing_trajectory_writes_no_file(self, tmp_path, capsys, monkeypatch,
+                                               argv, source):
+        # every consumer of a walk fails after step 0 with nothing written
+        def failing(config, *args):
             yield SiteDistribution.delta()
             raise ValueError("probabilities sum to 2.0, not 1")
 
-        monkeypatch.setattr(cli, "walk_trajectory", failing)
-        path = tmp_path / "walk.csv"
-        code = cli.main(["simulate", "--p", "0.5", "--steps", "3", "--out", str(path)])
-        assert code == 2
+        monkeypatch.setattr(cli, source, failing)
+        walk = [] if argv[0] == "figure" else ["--p", "0.5", "--steps", "3"]
+        path = tmp_path / "walk.out"
+        assert cli.main([*argv, *walk, "--out", str(path)]) == 2
         assert not path.exists()
+        assert cli.main([*argv, *walk, "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: probabilities sum to 2.0, not 1\n" * 2
 
     def test_negative_steps_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -309,10 +329,43 @@ class TestWrite:
     def test_chunked_output_reassembles(self, tmp_path, capsys, monkeypatch, text):
         monkeypatch.setattr(cli, "_WRITE_CHUNK", 7)
         path = tmp_path / "out"
-        cli._write(str(path), text)
-        cli._write("-", text)
+        cli._emit(str(path), [text])
+        cli._emit("-", iter([text[:5], "", text[5:]]))
         assert path.read_text() == text
         assert capsys.readouterr().out == text
+
+
+#: Bounds on the tracemalloc peak (which numpy reports to) of one command, in
+#: MB, each with the peak measured when every step was held at once.  A bound
+#: is about twice the streamed peak and at most a third of the held one.
+PEAK_MB = {
+    # one density matrix (161 stored sites a side) instead of all 81 (held 12.8)
+    "analyze sigma --scheme cp --p 0.5 --symmetric --steps 80": 4.2,
+    # one or two distributions instead of 601 (held 3.2, 6.2, 6.2)
+    "analyze majorize --p 0.5 --symmetric --steps 600": 0.5,
+    "analyze entropy --p 0.5 --symmetric --steps 600": 0.5,
+    "figure entropy --steps 600": 0.6,
+    # the 601 distributions, but one step's rows of text at a time (held 16.2, 22.2)
+    "simulate --p 0.5 --symmetric --steps 600": 5.3,
+    "analyze lorenz --p 0.5 --symmetric --steps 600": 6.4,
+    # the plotted steps only (held 3.3, 3.1)
+    "simulate --emit svg --p 0.5 --symmetric --steps 600": 0.7,
+    "figure lorenz --p 0.5 --steps 10,600": 0.3,
+}
+
+
+class TestMemory:
+    @pytest.mark.parametrize("command", sorted(PEAK_MB))
+    def test_peak_allocation_is_bounded(self, tmp_path, command):
+        argv = command.split() + ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0  # fills the Kraus-power cache outside the trace
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e6 < PEAK_MB[command]
 
 
 class TestAnalyze:
@@ -435,14 +488,21 @@ class TestFigure:
         assert code == 0
         assert path.read_text().count('class="column"') == 5
 
-    @pytest.mark.parametrize("which", ["memory-diagram", "entropy", "lorenz"])
-    def test_empty_step_list_is_argument_error(self, capsys, tmp_path, which):
+    @pytest.mark.parametrize("which,options,error", [
+        ("memory-diagram", ["--steps", ","], "--steps: expected a comma list of integers"),
+        ("entropy", ["--steps", ","], "--steps: expected a comma list of integers"),
+        ("lorenz", ["--steps", ","], "--steps: expected a comma list of integers"),
+        # an empty bias list would otherwise plot the default biases
+        ("entropy", ["--p", ",", "--steps", "4"], "--p: expected a comma list of numbers"),
+    ], ids=["memory-diagram", "entropy", "lorenz", "entropy-p"])
+    def test_empty_step_list_is_argument_error(self, capsys, tmp_path, which, options,
+                                               error):
         with pytest.raises(SystemExit) as err:
-            cli.main(["figure", which, "--steps", ",", "--out", str(tmp_path / "f.svg")])
+            cli.main(["figure", which, *options, "--out", str(tmp_path / "f.svg")])
         assert err.value.code == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("usage: coinwalk figure")
-        assert "argument --steps: expected a comma list of integers, got ','" in captured.err
+        assert f"argument {error}, got ','" in captured.err
         assert not (tmp_path / "f.svg").exists()
 
     @pytest.mark.parametrize("which", ["memory-diagram", "entropy"])
