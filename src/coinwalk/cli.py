@@ -315,17 +315,21 @@ def _json_default(obj):
 
 def _add_walk_options(parser):
     parser.add_argument("--p", type=float, default=None, help="coin bias in [0, 1]")
-    parser.add_argument(
+    initial = parser.add_mutually_exclusive_group()
+    initial.add_argument(
         "--symmetric", action="store_true",
         help="use the canonical symmetric initialization c=1/sqrt(2), d=i/sqrt(2)",
     )
-    _add_scheme_options(parser)
+    _add_scheme_options(parser, initial)
 
 
-def _add_scheme_options(parser):
-    """The walk options shared with ``figure lorenz``: scheme, coin, period, output."""
+def _add_scheme_options(parser, initial=None):
+    """The walk options shared with ``figure lorenz``: scheme, coin, period, output.
+
+    ``--coin`` goes into the group ``initial`` when one is given.
+    """
     parser.add_argument("--scheme", choices=SCHEMES, default="global")
-    parser.add_argument(
+    (initial or parser).add_argument(
         "--coin", type=parse_coin, default=None,
         help="initial coin amplitudes, c=<complex>,d=<complex> with i literals",
     )

@@ -3,10 +3,12 @@
 Three tracing schemes are supported:
 
 * global  -- the coin is traced once, after all steps; distributions come
-  from a single completely positive map with two Kraus generators, and
-  ``global_trajectory`` evolves the joint amplitudes directly.
+  from a single completely positive map with two Kraus generators,
+  ``global_trajectory`` evolves the joint amplitudes directly, and
+  ``global_distribution`` answers one step in momentum space.
 * delayed -- the coin is traced every m steps; ``cp_walk`` iterates a fixed
-  CP map whose Kraus generators are those of an m-step global walk.
+  CP map whose Kraus generators are those of an m-step global walk, and
+  ``cp_distribution`` gives its diagonal at one iteration in momentum space.
 * prompt  -- the coin is traced after every step; the walk is a biased
   classical random walk and distributions are binomial.  It is the
   period-1 kernel walk, so it lives in :mod:`coinwalk.kernels`
@@ -54,7 +56,9 @@ class WalkConfig:
     def __post_init__(self):
         if (self.p is None) == (self.coin is None):
             raise ValueError("specify exactly one of p or coin")
-        if abs(abs(self.c) ** 2 + abs(self.d) ** 2 - 1.0) > NORM_TOL:
+        if not np.isfinite([self.c, self.d]).all():
+            raise ValueError(f"initial coin amplitudes must be finite, got {self.c}, {self.d}")
+        if not abs(abs(self.c) ** 2 + abs(self.d) ** 2 - 1.0) <= NORM_TOL:
             raise ValueError("initial coin amplitudes must satisfy |c|^2 + |d|^2 = 1")
         if self.p is not None:
             if not 0.0 <= self.p <= 1.0:
@@ -63,7 +67,9 @@ class WalkConfig:
             u = np.asarray(self.coin, dtype=complex)
             if u.shape != (2, 2):
                 raise ValueError("coin must be a 2x2 matrix")
-            if np.max(np.abs(u @ u.conj().T - np.eye(2))) > 1e-12:
+            if not np.isfinite(u).all():
+                raise ValueError("coin matrix entries must be finite")
+            if not np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12:
                 raise ValueError("coin matrix is not unitary")
             u.setflags(write=False)
             object.__setattr__(self, "coin", u)
@@ -96,11 +102,11 @@ class SiteDistribution(FiniteSequence):
     def __init__(self, probs: Mapping[int, float] | tuple, *, sum_tol: float = 1e-12):
         super().__init__(probs)
         total = float(self.values.sum())
-        if abs(total - 1.0) > sum_tol:
+        if not abs(total - 1.0) <= sum_tol:
             raise ValueError(f"probabilities sum to {total}, not 1")
 
     def _kept(self, lo: int, values: np.ndarray) -> np.ndarray:
-        negative = values < -NEGATIVE_DUST
+        negative = ~(values >= -NEGATIVE_DUST)  # NaN too
         if np.count_nonzero(negative):
             k = int(np.argmax(negative))
             raise ValueError(f"negative probability {values[k]} at site {lo + k}")
@@ -160,11 +166,12 @@ class DensityMatrix:
         return rho
 
     def _store(self, mat: np.ndarray, lo: int, step: int) -> None:
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
+        # each check is written to fail on NaN
+        if not np.max(np.abs(mat - mat.conj().T)) <= HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > TRACE_TOL:
+        if not abs(np.trace(mat).real - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace is {np.trace(mat).real}, not 1")
-        if np.min(np.diag(mat).real) < -NEGATIVE_DUST:
+        if not np.min(np.diag(mat).real) >= -NEGATIVE_DUST:
             raise ValueError("negative diagonal entry beyond tolerance")
         mat.setflags(write=False)
         self._mat = mat
@@ -226,7 +233,7 @@ class DensityMatrix:
 
 def _trim_window(mat: np.ndarray, lo: int, step: int) -> tuple[np.ndarray, int]:
     """Cut zero rows and columns off both ends; row r is site lo + step*r."""
-    mask = np.abs(mat) > 0.0
+    mask = mat != 0
     if not mask.any():
         return np.zeros((1, 1), dtype=complex), lo
     rows = np.nonzero(mask.any(axis=1))[0]
@@ -338,16 +345,82 @@ def _amplitude_distribution(psi: np.ndarray, offset: int) -> SiteDistribution:
     return SiteDistribution((-offset, np.abs(psi[0]) ** 2 + np.abs(psi[1]) ** 2))
 
 
-def global_distribution(config: WalkConfig, n: int) -> SiteDistribution:
-    """Distribution after n steps with a single final trace of the coin."""
-    return _amplitude_distribution(_last(_global_amplitudes(config, n)), n)
-
-
 def _last(steps: Iterator):
     """The final item of a step generator, dropping the others as they come."""
     for item in steps:
         pass
     return item
+
+
+def global_distribution(config: WalkConfig, n: int) -> SiteDistribution:
+    """Distribution after n steps with a single final trace of the coin.
+
+    Evaluated in momentum space: one inverse FFT of the n-step symbol on the
+    n + 1 sites of the parity sublattice.  :func:`global_trajectory` steps
+    the same walk in position space and is the cross-check.
+    """
+    if n < 0:
+        raise ValueError(f"step count must be nonnegative, got {n}")
+    amplitudes = np.fft.ifft(_walk_symbol(config, n, n + 1))
+    probs = (amplitudes.real ** 2 + amplitudes.imag ** 2).sum(axis=0)
+    return _sublattice_distribution(probs, n)
+
+
+def _walk_symbol(config: WalkConfig, n: int, size: int) -> np.ndarray:
+    """The n-step amplitudes in momentum space, shape ``(2, size)``.
+
+    Column l is psi_n(k) = (D(k) U)^n (c, d), D(k) = diag(e^{-ik}, e^{ik}),
+    at k = -pi l / size, in the frame that moves with the right-movers
+    (times e^{ikn}): there a right move is 1 and a left move
+    z = e^{2ik} = e^{-2 pi i l / size}, so for ``size`` > n row j is
+    ``fft(a)`` of the coin-j amplitudes a[i] at site n - 2i.  The batched
+    2x2 symbol diag(1, z) U is raised to the n-th power by binary powering,
+    applied to the vector, and each column is rescaled to |c|^2 + |d|^2.
+    """
+    u = config.coin_unitary
+    l = np.arange(size)
+    z = np.exp(-2j * np.pi / size * np.where(2 * l > size, l - size, l))  # |angle| <= pi
+    (b00, b01), (b10, b11) = (u[0, 0], u[0, 1]), (u[1, 0] * z, u[1, 1] * z)
+    v0, v1 = np.full(size, complex(config.c)), np.full(size, complex(config.d))
+    while n:
+        if n & 1:
+            v0, v1 = b00 * v0 + b01 * v1, b10 * v0 + b11 * v1
+        n >>= 1
+        if n:
+            b00, b01, b10, b11 = (b00 * b00 + b01 * b10, b00 * b01 + b01 * b11,
+                                  b10 * b00 + b11 * b10, b10 * b01 + b11 * b11)
+    psi = np.stack([v0, v1])
+    norm = abs(config.c) ** 2 + abs(config.d) ** 2
+    psi *= np.sqrt(norm / (psi.real ** 2 + psi.imag ** 2).sum(axis=0))
+    return psi
+
+
+#: Unit roundoff of float64.
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _amplitude_error(steps: int) -> float:
+    """A bound on the 2-norm error of unit-norm amplitudes from a ``steps``-step symbol.
+
+    The symbol is taken on G = steps + 1 momenta: 56 u per step from its
+    binary powering (each squaring doubles the error of the base), and
+    24 u log2(4G) from the inverse FFT (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 24, for up to three transforms of length
+    below 4G).  CHANGES.md has the derivation.
+    """
+    return _UNIT_ROUNDOFF * (56 * steps + 24 * math.log2(4 * (steps + 1)))
+
+
+def _sublattice_distribution(probs: np.ndarray, reach: int) -> SiteDistribution:
+    """The distribution with probability ``probs[i]`` at site reach - 2i.
+
+    An entry of magnitude below the square of the ``reach``-step amplitude
+    error bound is rounding noise, and is stored as 0.
+    """
+    floor = _amplitude_error(reach) ** 2
+    values = np.zeros(2 * reach + 1)
+    values[::2] = np.where(np.abs(probs) < floor, 0.0, probs)[::-1]
+    return SiteDistribution((-reach, values))
 
 
 # -- CP-map evolution -------------------------------------------------------
@@ -402,13 +475,63 @@ def cp_walk(config: WalkConfig, m: int, n_iterations: int) -> list[DensityMatrix
 
 def _cp_steps(config: WalkConfig, m: int, n_iterations: int) -> Iterator[DensityMatrix]:
     """The density matrices of :func:`cp_walk`, holding only the current one."""
-    if n_iterations < 0:
-        raise ValueError(f"iteration count must be nonnegative, got {n_iterations}")
-    if m < 1:
-        raise ValueError(f"trace period must be at least 1, got {m}")
+    _check_cp_counts(m, n_iterations)
     kraus = kraus_pair(config, m)
     rho = DensityMatrix.delta(0)
     yield rho
     for _ in range(n_iterations):
         rho = cp_apply(rho, kraus)
         yield rho
+
+
+def _check_cp_counts(m: int, n_iterations: int) -> None:
+    if n_iterations < 0:
+        raise ValueError(f"iteration count must be nonnegative, got {n_iterations}")
+    if m < 1:
+        raise ValueError(f"trace period must be at least 1, got {m}")
+
+
+#: Entries of one block of M(k, k - q) in :func:`cp_distribution` (1 MB of
+#: complex values per array).
+_BLOCK_CELLS = 1 << 16
+
+
+def cp_distribution(config: WalkConfig, m: int, n_iterations: int) -> SiteDistribution:
+    """The diagonal of ``cp_walk(config, m, n_iterations)[-1]``, in momentum space.
+
+    With a_j(k) the Kraus symbols (the m-step walk symbol's rows), the map
+    multiplies rho(k, k') by M(k, k') = sum_j a_j(k) conj(a_j(k')), so
+    rho_n(k, k') = M(k, k')^n.  The diagonal's transform at q is the mean
+    over k of M(k, k - q)^n; it is summed in row blocks over q (half of
+    them: the other half are conjugates), and one inverse FFT on the
+    n m + 1 sublattice sites gives the probabilities.  :func:`cp_walk`
+    iterates the map in position space and is the cross-check.
+    """
+    _check_cp_counts(m, n_iterations)
+    size = n_iterations * m + 1
+    norm = abs(config.c) ** 2 + abs(config.d) ** 2
+    a = _walk_symbol(config, m, size) / math.sqrt(norm)
+    # row r of the window view is conj(a)[(l + r) % size]; r = size - q is the shift by -q
+    conj = np.conj(a)
+    rows = np.lib.stride_tricks.sliding_window_view(np.concatenate([conj, conj], axis=1),
+                                                    size, axis=1)
+    half = size // 2 + 1
+    spectrum = np.empty(half, dtype=complex)
+    height = max(1, _BLOCK_CELLS // size)
+    for start in range(0, half, height):
+        stop = min(start + height, half)
+        shifted = rows[:, size - stop + 1 : size - start + 1][:, ::-1]
+        base = a[0] * shifted[0]
+        base += a[1] * shifted[1]
+        power = np.ones_like(base)
+        k = n_iterations
+        while k:
+            if k & 1:
+                power *= base
+            k >>= 1
+            if k:
+                base *= base
+        spectrum[start:stop] = power.mean(axis=1)
+    spectrum[0] = 1.0  # the trace: M(k, k) is 1 up to rounding, which the n-th power multiplies by n
+    probs = np.fft.irfft(spectrum, size)
+    return _sublattice_distribution(probs, n_iterations * m)

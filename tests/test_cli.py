@@ -199,6 +199,37 @@ class TestSimulate:
         assert captured.err == "error: --p is required unless --symmetric is given\n"
         assert captured.out == ""
 
+    def test_symmetric_with_coin_is_argument_error(self, capsys):
+        # --symmetric fixes the coin state, so a --coin beside it would be ignored
+        with pytest.raises(SystemExit) as err:
+            cli.main(["simulate", "--symmetric", "--coin", "c=0,d=1", "--p", "0.5",
+                      "--steps", "3"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert "not allowed with argument --symmetric" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "sigma", "--scheme", "cp"],
+        ["analyze", "entropy", "--scheme", "kernel"],
+        ["simulate", "--scheme", "global"],
+    ])
+    @pytest.mark.parametrize("coin", ["c=nan,d=1", "c=1,d=nan", "c=1e999,d=0", "c=nani,d=1"])
+    def test_nonfinite_coin_state_is_argument_error(self, capsys, argv, coin):
+        with pytest.raises(SystemExit) as err:
+            cli.main([*argv, "--p", "0.5", "--coin", coin, "--steps", "3"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: initial coin amplitudes must be finite")
+        assert captured.out == ""
+
+    def test_nonfinite_lorenz_coin_state_is_argument_error(self, capsys, tmp_path):
+        out = tmp_path / "f.svg"
+        assert cli.main(["figure", "lorenz", "--coin", "c=nan,d=1", "--steps", "2",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: initial coin amplitudes must be finite")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,source", [
         (["simulate", "--emit", "csv"], "walk_steps"),
         (["simulate", "--emit", "json"], "walk_steps"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ from coinwalk.engine import (
     SiteDistribution,
     WalkConfig,
     _global_amplitudes,
+    _global_steps,
+    _last,
     _step_power,
     build_step_operator,
     cp_apply,
+    cp_distribution,
     cp_walk,
     global_distribution,
     global_trajectory,
@@ -38,6 +42,36 @@ from conftest import (
 SQ2 = 1.0 / math.sqrt(2.0)
 #: A general unitary coin: a Hadamard coin with complex phases.
 PHASED_COIN = np.array([[1.0, 1j], [1j, 1.0]]) * np.exp(0.3j) * SQ2
+
+
+#: Every coin the momentum-space tests run: each bias with each initial coin
+#: state, and the phased coin with each.
+MOMENTUM_CONFIGS = [
+    *(WalkConfig(c=cd[0], d=cd[1], p=p) for p in P_GRID for cd in COIN_INITS),
+    *(WalkConfig(c=cd[0], d=cd[1], coin=PHASED_COIN) for cd in COIN_INITS),
+]
+#: The coins whose walk is deterministic in each coin component.
+DEGENERATE_CONFIGS = [WalkConfig(c=cd[0], d=cd[1], p=p)
+                      for p in (0.0, 1.0) for cd in (*COIN_INITS, (1.0, 0.0))]
+
+
+def config_id(cfg):
+    bias = "phased" if cfg.p is None else f"p={cfg.p:.3g}"
+    return f"{bias},c={cfg.c:.3g},d={cfg.d:.3g}"
+
+
+def stepped_distribution(cfg, n):
+    """``global_trajectory(cfg, n)[-1]``, without holding the earlier steps."""
+    return _last(_global_steps(cfg, n))
+
+
+def random_unitary_config(seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    coin = q * (np.diag(r) / np.abs(np.diag(r)))
+    c, d = rng.normal(size=2) + 1j * rng.normal(size=2)
+    norm = math.hypot(abs(c), abs(d))
+    return WalkConfig(c=c / norm, d=d / norm, coin=coin)
 
 
 def assert_kraus_is_block_power(cfg, n, block):
@@ -87,6 +121,19 @@ class TestWalkConfig:
     def test_p_and_coin_together_rejected(self):
         with pytest.raises(ValueError):
             WalkConfig(c=1.0, d=0.0, p=0.5, coin=np.eye(2))
+
+    @pytest.mark.parametrize("c,d", [(math.nan, 1.0), (1.0, math.nan),
+                                     (complex(0.0, math.nan), 1.0), (math.inf, 0.0)])
+    def test_nonfinite_coin_state_rejected(self, c, d):
+        with pytest.raises(ValueError, match="finite"):
+            WalkConfig(c=c, d=d, p=0.5)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_nonfinite_coin_matrix_rejected(self, entry):
+        coin = np.eye(2, dtype=complex)
+        coin[1, 0] = entry
+        with pytest.raises(ValueError, match="finite"):
+            WalkConfig(c=1.0, d=0.0, coin=coin)
 
 
 class TestKrausPair:
@@ -139,12 +186,7 @@ class TestKrausPair:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 70))
     def test_memoised_powers_of_random_unitary_coins(self, seed, n):
-        rng = np.random.default_rng(seed)
-        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        coin = q * (np.diag(r) / np.abs(np.diag(r)))
-        c, d = rng.normal(size=2) + 1j * rng.normal(size=2)
-        norm = math.hypot(abs(c), abs(d))
-        cfg = WalkConfig(c=c / norm, d=d / norm, coin=coin)
+        cfg = random_unitary_config(seed)
         assert_kraus_is_block_power(cfg, n, build_step_operator(cfg).power(n))
 
     def test_reconstruction_same_bytes_cold_and_warm(self):
@@ -205,14 +247,40 @@ class TestGlobalDistribution:
         for site, prob in want.items():
             assert dist[site] == pytest.approx(prob, abs=1e-12)
 
-    @pytest.mark.parametrize("p", P_GRID)
-    @pytest.mark.parametrize("cd", COIN_INITS)
-    @pytest.mark.parametrize("n", [1, 3, 7])
-    def test_agrees_with_dense_oracle(self, p, cd, n):
-        cfg = WalkConfig(c=cd[0], d=cd[1], p=p)
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
+    @pytest.mark.parametrize("cfg", MOMENTUM_CONFIGS, ids=config_id)
+    def test_agrees_with_dense_oracle(self, cfg, n):
         assert global_distribution(cfg, n).distance(
             dense_global_distribution(cfg, n)
         ) < 1e-12
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 300, 3000])
+    @pytest.mark.parametrize("cfg", MOMENTUM_CONFIGS, ids=config_id)
+    def test_agrees_with_stepping(self, cfg, n):
+        assert global_distribution(cfg, n).distance(stepped_distribution(cfg, n)) < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2000))
+    def test_random_unitary_coins_agree_with_stepping(self, seed, n):
+        cfg = random_unitary_config(seed)
+        assert global_distribution(cfg, n).distance(stepped_distribution(cfg, n)) < 1e-12
+
+    def test_total_at_a_hundred_thousand_steps(self, symmetric):
+        dist = global_distribution(symmetric, 10**5)
+        assert abs(dist.values.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 301, 3000])
+    @pytest.mark.parametrize("cfg", DEGENERATE_CONFIGS, ids=config_id)
+    def test_degenerate_coin_support_equals_stepping(self, cfg, n):
+        # every other sublattice site comes out of the transform as ~1e-30
+        # noise, below the square of the amplitude error bound
+        got, want = global_distribution(cfg, n), stepped_distribution(cfg, n)
+        assert got.support == want.support
+        assert got.distance(want) < 1e-12
+
+    def test_negative_steps_rejected(self, symmetric):
+        with pytest.raises(ValueError, match="nonnegative"):
+            global_distribution(symmetric, -1)
 
     def test_symmetric_walk_is_symmetric(self, symmetric):
         for n, dist in enumerate(global_trajectory(symmetric, 50)):
@@ -243,6 +311,56 @@ class TestGlobalDistribution:
             down[:-1] = u[1, 0] * psi[0, 1:] + u[1, 1] * psi[1, 1:]
             psi = np.stack([up, down])
             assert got.tobytes() == psi.tobytes()
+
+
+class TestCpDistribution:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cfg", MOMENTUM_CONFIGS, ids=config_id)
+    def test_agrees_with_cp_walk(self, cfg, m):
+        for n, rho in enumerate(cp_walk(cfg, m, 60)):
+            if n in (0, 1, 2, 5, 17, 60):
+                assert cp_distribution(cfg, m, n).distance(rho.diagonal()) < 1e-12, n
+
+    @pytest.mark.parametrize("m,iters", [(1, 8), (2, 5), (3, 4), (4, 3)])
+    @pytest.mark.parametrize("cfg", MOMENTUM_CONFIGS[1::3], ids=config_id)
+    def test_agrees_with_dense_oracle(self, cfg, m, iters):
+        for n, want in enumerate(dense_delayed_diagonals(cfg, m, iters)):
+            assert cp_distribution(cfg, m, n).distance(want) < 1e-12, n
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 40))
+    def test_random_unitary_coins_agree_with_cp_walk(self, seed, m, n):
+        cfg = random_unitary_config(seed)
+        want = cp_walk(cfg, m, n)[-1].diagonal()
+        assert cp_distribution(cfg, m, n).distance(want) < 1e-12
+
+    def test_total_at_two_thousand_iterations(self, symmetric):
+        dist = cp_distribution(symmetric, 2, 2000)
+        assert abs(dist.values.sum() - 1.0) < 1e-12
+
+    def test_first_delayed_diagonal(self, symmetric):
+        dist = cp_distribution(symmetric, 2, 1)
+        assert dist.support == (-2, 0, 2)
+        for site, prob in {2: 0.25, 0: 0.5, -2: 0.25}.items():
+            assert dist[site] == pytest.approx(prob, abs=1e-15)
+
+    def test_counts_rejected(self, symmetric):
+        with pytest.raises(ValueError, match="trace period"):
+            cp_distribution(symmetric, 0, 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            cp_distribution(symmetric, 2, -1)
+
+    def test_peak_allocation_at_six_hundred_iterations(self, symmetric):
+        # row blocks of M(k, k - q) of about 1 MB each (peak 3.5 MB), never all
+        # 1201 x 1201 entries (23 MB, also the size of cp_walk's last density matrix)
+        cp_distribution(symmetric, 2, 600)
+        tracemalloc.start()
+        try:
+            cp_distribution(symmetric, 2, 600)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e6 < 7.0
 
 
 class TestPromptDistribution:
@@ -291,6 +409,15 @@ class TestDensityMatrix:
     def test_wrong_trace_rejected(self):
         with pytest.raises(ValueError):
             from_entries({(0, 0): 0.5})
+
+    @pytest.mark.parametrize("mat", [
+        [[math.nan, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0], [0.0, math.nan]],  # a NaN at the window's end is not trimmed off
+        [[0.5, math.nan], [math.nan, 0.5]],
+    ], ids=["first", "last", "off-diagonal"])
+    def test_nan_entry_rejected(self, mat):
+        with pytest.raises(ValueError):
+            DensityMatrix(np.array(mat), 0)
 
     def test_sublattice_round_trip(self):
         cfg = WalkConfig(c=0.6, d=0.8, coin=PHASED_COIN)
@@ -451,6 +578,13 @@ class TestSiteDistribution:
             assert dist[0] == 0.0 and dist[3] == 0.0
         assert a.distance(b) == 0.0
         assert np.array_equal(b.probabilities(), [0.25, 0.75])
+
+    @pytest.mark.parametrize("values", [[math.nan, 1.0], [0.5, math.nan, 0.5], [1.0, math.nan]])
+    def test_nan_probability_rejected(self, values):
+        with pytest.raises(ValueError):
+            SiteDistribution((0, np.array(values)))
+        with pytest.raises(ValueError):
+            SiteDistribution(dict(enumerate(values)))
 
     def test_array_constructor_validates(self):
         with pytest.raises(ValueError):
