@@ -134,38 +134,23 @@ class SiteDistribution(FiniteSequence):
 
 
 class DensityMatrix:
-    """A walker density matrix stored on its occupied sublattice.
+    """A walker density matrix stored on its parity sublattice.
 
     Every Kraus generator of an m-step walk has degrees of the parity of m,
-    so from one site every CP iterate is supported on a sublattice
-    ``lo + step*Z`` in both rows and columns, and only that sublattice is
-    stored: row and column r of the stored array are site ``lo + step*r``,
-    and every other entry is zero.  The
-    constructor takes a dense window whose first row/column is site ``lo``
-    and keeps its occupied sublattice.  ``site_range``, ``dense`` and
-    ``diagonal`` address the full window.
+    so from one site every CP iterate is supported on the sublattice
+    ``lo + 2Z`` in both rows and columns, and only that sublattice is
+    stored.  The constructor takes the stored array: row and column r are
+    site ``lo + 2r``, and every other entry of the window is zero.
+    ``site_range``, ``dense`` and ``diagonal`` address the full window.
     """
 
-    __slots__ = ("_mat", "_lo", "_step")
+    __slots__ = ("_mat", "_lo")
 
     def __init__(self, mat: np.ndarray, lo: int):
         mat = np.asarray(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
-        mat, lo = _trim_window(mat, lo, 1)
-        nonzero = mat != 0
-        occupied = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-        step = int(np.gcd.reduce(occupied)) or 1  # occupied[0] is 0 after the trim
-        self._store(np.ascontiguousarray(mat[::step, ::step]), lo, step)
-
-    @classmethod
-    def _sublattice(cls, mat: np.ndarray, lo: int, step: int) -> "DensityMatrix":
-        """Build from the stored array of the sublattice ``lo + step*Z``, validated."""
-        rho = cls.__new__(cls)
-        rho._store(*_trim_window(mat, lo, step), step)
-        return rho
-
-    def _store(self, mat: np.ndarray, lo: int, step: int) -> None:
+        mat, lo = _trim_window(mat, lo)
         # each check is written to fail on NaN
         if not np.max(np.abs(mat - mat.conj().T)) <= HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
@@ -176,7 +161,6 @@ class DensityMatrix:
         mat.setflags(write=False)
         self._mat = mat
         self._lo = int(lo)
-        self._step = step if mat.shape[0] > 1 else 1
 
     @classmethod
     def delta(cls, site: int = 0) -> "DensityMatrix":
@@ -184,7 +168,7 @@ class DensityMatrix:
 
     @property
     def site_range(self) -> tuple[int, int]:
-        return self._lo, self._lo + self._step * (self._mat.shape[0] - 1)
+        return self._lo, self._lo + 2 * (self._mat.shape[0] - 1)
 
     @property
     def trace(self) -> float:
@@ -207,7 +191,10 @@ class DensityMatrix:
 
     def dense(self) -> np.ndarray:
         """The full window as a dense array; row/column 0 is site ``site_range[0]``."""
-        return self._on_sublattice(1).copy()
+        w = 2 * self._mat.shape[0] - 1
+        out = np.zeros((w, w), dtype=complex)
+        out[::2, ::2] = self._mat
+        return out
 
     def _full_diagonal(self) -> np.ndarray:
         """The complex diagonal over the full window.
@@ -215,24 +202,13 @@ class DensityMatrix:
         Sums over it round as over a dense matrix's diagonal; the zeros off
         the sublattice change numpy's pairwise grouping.
         """
-        lo, hi = self.site_range
-        diag = np.zeros(hi - lo + 1, dtype=complex)
-        diag[:: self._step] = np.diag(self._mat)
+        diag = np.zeros(2 * self._mat.shape[0] - 1, dtype=complex)
+        diag[::2] = np.diag(self._mat)
         return diag
 
-    def _on_sublattice(self, step: int) -> np.ndarray:
-        """The stored array re-spaced onto the finer sublattice ``lo + step*Z``."""
-        k = self._step // step
-        if k == 1 or self._mat.shape[0] == 1:
-            return self._mat
-        w = (self._mat.shape[0] - 1) * k + 1
-        out = np.zeros((w, w), dtype=complex)
-        out[::k, ::k] = self._mat
-        return out
 
-
-def _trim_window(mat: np.ndarray, lo: int, step: int) -> tuple[np.ndarray, int]:
-    """Cut zero rows and columns off both ends; row r is site lo + step*r."""
+def _trim_window(mat: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
+    """Cut zero rows and columns off both ends; row r is site lo + 2r."""
     mask = mat != 0
     if not mask.any():
         return np.zeros((1, 1), dtype=complex), lo
@@ -240,7 +216,7 @@ def _trim_window(mat: np.ndarray, lo: int, step: int) -> tuple[np.ndarray, int]:
     cols = np.nonzero(mask.any(axis=0))[0]
     a = int(min(rows[0], cols[0]))
     b = int(max(rows[-1], cols[-1]))
-    return np.ascontiguousarray(mat[a : b + 1, a : b + 1]), lo + step * a
+    return np.ascontiguousarray(mat[a : b + 1, a : b + 1]), lo + 2 * a
 
 
 # -- step operator and Kraus generators -------------------------------------
@@ -429,12 +405,12 @@ def _sublattice_distribution(probs: np.ndarray, reach: int) -> SiteDistribution:
 def cp_apply(rho: DensityMatrix, kraus: Sequence[LaurentOperator]) -> DensityMatrix:
     """Apply the CP map with the given Kraus generators to a density matrix.
 
-    The result lives on the sublattice whose step is the gcd of rho's step
-    and the differences of the Kraus degrees (2 for the Kraus pair of a
-    walk of any length), and only that sublattice is computed: each term
-    a conj(b) rho, shifted by the degrees of a and b, is added on it in the
-    same order as on the full window, so every stored entry rounds as it
-    would there.  A family of mixed degree parity falls back to step 1.
+    The Kraus degrees must share one parity, as those of a walk's Kraus
+    pair do, so that the result stays on the step-2 sublattice; a family
+    of mixed parity raises ValueError.  Only the sublattice is computed:
+    each term a conj(b) rho, shifted by the degrees of a and b, is added on
+    it in the same order as on the full window, so every stored entry
+    rounds as it would there.
     """
     total = ZERO
     for op in kraus:
@@ -446,11 +422,11 @@ def cp_apply(rho: DensityMatrix, kraus: Sequence[LaurentOperator]) -> DensityMat
         )
     degrees = sorted({d for op in kraus for d in op.support})
     dmin = degrees[0]
-    rho_step = rho._step if rho._mat.shape[0] > 1 else 0
-    step = math.gcd(rho_step, *(d - dmin for d in degrees)) or 1
-    src = rho._on_sublattice(step)
+    if any((d - dmin) % 2 for d in degrees):
+        raise ValueError(f"Kraus degrees {degrees} are of mixed parity")
+    src = rho._mat
     w = src.shape[0]
-    size = w + (degrees[-1] - dmin) // step
+    size = w + (degrees[-1] - dmin) // 2
     out = np.zeros((size, size), dtype=complex)
     term = np.empty_like(src)
     for op in kraus:
@@ -459,9 +435,9 @@ def cp_apply(rho: DensityMatrix, kraus: Sequence[LaurentOperator]) -> DensityMat
                 # coefficient first: the operand order decides how numpy fuses
                 # the complex multiply, hence its rounding
                 np.multiply(a * np.conj(b), src, out=term)
-                r, c = (d - dmin) // step, (e - dmin) // step
+                r, c = (d - dmin) // 2, (e - dmin) // 2
                 out[r : r + w, c : c + w] += term
-    return DensityMatrix._sublattice(out, rho.site_range[0] + dmin, step)
+    return DensityMatrix(out, rho.site_range[0] + dmin)
 
 
 def cp_walk(config: WalkConfig, m: int, n_iterations: int) -> list[DensityMatrix]:

@@ -378,6 +378,8 @@ def run_suite(name: str, max_steps: int = 12, tol: float | None = None) -> dict:
     """Run one suite (or ``all``) and return the JSON-ready report."""
     if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
+    if tol is not None and not 0.0 <= tol < math.inf:  # NaN too
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     if name == "all":
         checks = []
         for fn in SUITES.values():

@@ -81,11 +81,32 @@ def binomial_distribution(n: int, right: float) -> SiteDistribution:
     return SiteDistribution({s: p for s, p in probs.items() if p > 0.0})
 
 
+def dense_cp(rho: DensityMatrix, kraus):
+    """Window start and dense sum_j A_j rho A_j^dagger, from Laurent dense realizations."""
+    lo, hi = rho.site_range
+    reach = max(abs(d) for op in kraus for d in op.support)
+    window = range(lo - reach, hi + reach + 1)
+    full = np.zeros((len(window), len(window)), dtype=complex)
+    full[reach : reach + hi - lo + 1, reach : reach + hi - lo + 1] = rho.dense()
+    mats = [op.to_dense(window) for op in kraus]
+    return lo - reach, sum(a @ full @ a.conj().T for a in mats)
+
+
+def window_of(rho: DensityMatrix, lo: int, size: int) -> np.ndarray:
+    """rho's dense matrix placed in the window of ``size`` sites from ``lo``."""
+    out = np.zeros((size, size), dtype=complex)
+    a, b = rho.site_range
+    out[a - lo : b - lo + 1, a - lo : b - lo + 1] = rho.dense()
+    return out
+
+
 def from_entries(entries) -> DensityMatrix:
-    """A density matrix from ``{(i, j): value}``, through the dense window it spans."""
+    """A density matrix from ``{(i, j): value}``; every site must lie on ``lo + 2Z``."""
     sites = sorted({i for i, _ in entries} | {j for _, j in entries})
     lo = sites[0]
-    mat = np.zeros((sites[-1] - lo + 1,) * 2, dtype=complex)
+    if any((s - lo) % 2 for s in sites):
+        raise ValueError(f"sites {sites} are not on one step-2 sublattice")
+    mat = np.zeros(((sites[-1] - lo) // 2 + 1,) * 2, dtype=complex)
     for (i, j), v in entries.items():
-        mat[i - lo, j - lo] = v
+        mat[(i - lo) // 2, (j - lo) // 2] = v
     return DensityMatrix(mat, lo)

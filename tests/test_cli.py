@@ -61,6 +61,12 @@ CP_SHA256 = {
     "csv m=3 p=0.5 c=0,d=1": "c1de79b884b1efb515f0dcb0e0a9376d0c04e80cdbf05c9283ccefc11c749da7",
     "json m=3 p=0.5 c=0,d=1": "f84a26ec6a65eb3473ac06252643942e94184859e400163b54fed7f9ce4538de",
     "entropy m=3 p=0.5 c=0,d=1": "bc354e9e34c9467d50004328147d69f86bde583a8e4598560c3630d755e246ee",
+    "csv m=2 p=1 symmetric": "e44c501bcc927033c72af207961fa5455fcd453811795739bfbf75feda5a0b6f",
+    "json m=2 p=1 symmetric": "1be8348bbf1b6ddb4fb182937e81dacac4554617cbac799166b7bd44eac936d3",
+    "entropy m=2 p=1 symmetric": "d2e8251dc088418bf2a21c4d4bf4f1accc57be4e7fd3b79086f47dc8b53cca72",
+    "csv m=3 p=1 symmetric": "4b14f430b956781c4b4ce3f6f1a487f582969724f0fa1d8d2a2a9a6937e108a3",
+    "json m=3 p=1 symmetric": "b9a633e2f215f4d6fa335cb797d7deac2fa4a571b1af4d2b06313de18c014338",
+    "entropy m=3 p=1 symmetric": "7e624329eee4360364738218406886e6469e60a201c5a6510be544aba95e2b03",
 }
 CP_OUTPUTS = {
     "csv": ["simulate", "--emit", "csv"],
@@ -650,6 +656,15 @@ class TestVerify:
         with pytest.raises(SystemExit) as err:
             cli.main(["verify", "bogus"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_is_argument_error(self, tmp_path, capsys, tol):
+        # a NaN or infinite tolerance would be written as invalid JSON
+        path = tmp_path / "report.json"
+        code = cli.main(["verify", "kraus", "--max-steps", "3", "--tol", tol, "--out", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: tolerance must be finite and nonnegative")
+        assert not path.exists()
 
     def test_report_schema(self, capsys):
         _, out = run(["verify", "stochastic", "--max-steps", "6"], capsys)

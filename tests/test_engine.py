@@ -34,9 +34,11 @@ from conftest import (
     COIN_INITS,
     P_GRID,
     binomial_distribution,
+    dense_cp,
     dense_delayed_diagonals,
     dense_global_distribution,
     from_entries,
+    window_of,
 )
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -79,25 +81,6 @@ def assert_kraus_is_block_power(cfg, n, block):
     want = (cfg.c * block[0, 0] + cfg.d * block[0, 1], cfg.c * block[1, 0] + cfg.d * block[1, 1])
     for got, ref in zip(kraus_pair(cfg, n), want):
         assert (got.lo, got.values.tobytes()) == (ref.lo, ref.values.tobytes()), n
-
-
-def dense_cp(rho, kraus):
-    """Window start and dense sum_j A_j rho A_j^dagger, from Laurent dense realizations."""
-    lo, hi = rho.site_range
-    reach = max(abs(d) for op in kraus for d in op.support)
-    window = range(lo - reach, hi + reach + 1)
-    full = np.zeros((len(window), len(window)), dtype=complex)
-    full[reach : reach + hi - lo + 1, reach : reach + hi - lo + 1] = rho.dense()
-    mats = [op.to_dense(window) for op in kraus]
-    return lo - reach, sum(a @ full @ a.conj().T for a in mats)
-
-
-def window_of(rho, lo, size):
-    """rho's dense matrix placed in the window of ``size`` sites from ``lo``."""
-    out = np.zeros((size, size), dtype=complex)
-    a, b = rho.site_range
-    out[a - lo : b - lo + 1, a - lo : b - lo + 1] = rho.dense()
-    return out
 
 
 class TestWalkConfig:
@@ -398,13 +381,17 @@ class TestDensityMatrix:
         assert DensityMatrix.delta(0).diagonal().support == (0,)
 
     def test_from_entries_diagonal(self):
-        rho = from_entries({(1, 1): 0.3, (4, 4): 0.7})
+        rho = from_entries({(1, 1): 0.3, (5, 5): 0.7})
         dist = rho.diagonal()
-        assert dist[1] == pytest.approx(0.3) and dist[4] == pytest.approx(0.7)
+        assert dist[1] == pytest.approx(0.3) and dist[5] == pytest.approx(0.7)
+
+    def test_from_entries_off_sublattice_rejected(self):
+        with pytest.raises(ValueError, match="sublattice"):
+            from_entries({(0, 0): 0.5, (1, 1): 0.5})
 
     def test_nonhermitian_rejected(self):
-        with pytest.raises(ValueError):
-            from_entries({(0, 0): 1.0, (0, 1): 1j})
+        with pytest.raises(ValueError, match="Hermitian"):
+            from_entries({(0, 0): 1.0, (0, 2): 1j})
 
     def test_wrong_trace_rejected(self):
         with pytest.raises(ValueError):
@@ -422,41 +409,37 @@ class TestDensityMatrix:
     def test_sublattice_round_trip(self):
         cfg = WalkConfig(c=0.6, d=0.8, coin=PHASED_COIN)
         rho = cp_walk(cfg, 2, 3)[-1]
-        assert rho._step == 2
         lo, hi = rho.site_range
         assert (lo, hi) == (-6, 6)
         dense = rho.dense()
         assert dense.shape == (13, 13)
         assert not dense[1::2].any() and not dense[:, 1::2].any()
-        again = DensityMatrix(dense, lo)
-        assert again._step == 2 and again.site_range == (lo, hi)
+        again = DensityMatrix(dense[::2, ::2], lo)
+        assert again.site_range == (lo, hi)
         assert np.array_equal(again.dense(), dense)
         # sums over the diagonal round as over the dense window's
         for rho in cp_walk(WalkConfig.symmetric(0.25), 2, 12):
             assert rho.trace == np.trace(rho.dense()).real
 
-    def test_from_entries_finds_sublattice(self):
-        rho = from_entries({(1, 1): 0.5, (4, 4): 0.5, (1, 4): 0.5, (4, 1): 0.5})
-        assert rho._step == 3 and rho.site_range == (1, 4)
-        assert rho.dense()[0, 3] == 0.5 and rho.dense()[1, 1] == 0.0
-        assert rho.diagonal().support == (1, 4)
-
     def test_trim_offset_scales_with_step(self):
-        # stored rows 0 and 1 are zero: the window starts two sublattice steps up
+        # stored rows 0 and 1 are zero: the window starts two sublattice rows up
         mat = np.zeros((4, 4), dtype=complex)
         mat[2, 2] = mat[3, 3] = 0.5
         mat[2, 3], mat[3, 2] = 0.25j, -0.25j
-        rho = DensityMatrix._sublattice(mat, -7, 3)
-        assert rho.site_range == (-1, 2)
-        assert rho.dense()[0, 3] == 0.25j and rho.dense()[3, 0] == -0.25j
-        assert rho.diagonal().support == (-1, 2)
+        rho = DensityMatrix(mat, -7)
+        assert rho.site_range == (-3, -1)
+        assert rho.dense()[0, 2] == 0.25j and rho.dense()[2, 0] == -0.25j
+        assert rho.dense()[1, 1] == 0.0
+        assert rho.diagonal().support == (-3, -1)
 
     def test_diagonal_clamps_dust(self):
+        # stored row 1 is site 2
         rho = DensityMatrix(
             np.array([[1.0 + 1e-13, 0], [0, -1e-13]], dtype=complex), 0
         )
+        assert rho.site_range == (0, 2)
         dist = rho.diagonal()
-        assert dist[1] == 0.0 and dist[0] == pytest.approx(1.0, abs=1e-12)
+        assert dist[2] == 0.0 and dist[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCpApply:
@@ -481,22 +464,12 @@ class TestCpApply:
         assert out.dense()[2, 4] == pytest.approx(-0.25j, abs=1e-12)
 
     @pytest.mark.parametrize("iters", [0, 1, 3])
-    def test_mixed_parity_family_matches_dense(self, symmetric, iters):
-        # a step-2 rho under a complete family of odd degree difference: step 1
+    def test_mixed_parity_family_rejected(self, symmetric, iters):
+        # a complete family of odd degree difference would leave the step-2 sublattice
         half = [LaurentOperator({0: SQ2}), LaurentOperator({1: SQ2})]
         rho = cp_walk(symmetric, 2, iters)[-1]
-        out = cp_apply(rho, half)
-        lo, want = dense_cp(rho, half)
-        assert np.abs(window_of(out, lo, want.shape[0]) - want).max() < 1e-15
-        assert abs(out.trace - 1.0) < 1e-12
-
-    def test_step_three_rho_under_step_two_family(self, symmetric):
-        # gcd(3, 2) = 1: the result needs every site of the window
-        rho = from_entries({(1, 1): 0.5, (4, 4): 0.5, (1, 4): 0.5j, (4, 1): -0.5j})
-        kraus = kraus_pair(symmetric, 1)
-        out = cp_apply(rho, kraus)
-        lo, want = dense_cp(rho, kraus)
-        assert np.abs(window_of(out, lo, want.shape[0]) - want).max() < 1e-15
+        with pytest.raises(ValueError, match="mixed parity"):
+            cp_apply(rho, half)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_kraus_pair_matches_dense(self, m):
@@ -541,6 +514,14 @@ class TestCpWalk:
         want = dense_delayed_diagonals(symmetric, m, iters)
         for a, b in zip(got, want):
             assert a.distance(b) < 1e-10
+
+    def test_deterministic_coin_agrees_with_dense_oracle(self):
+        # at p = 1 each period moves the walker by +-3: the stored rows between are empty
+        cfg = WalkConfig.symmetric(1.0)
+        got = [rho.diagonal() for rho in cp_walk(cfg, 3, 5)]
+        assert got[-1].support == tuple(range(-15, 16, 6))
+        for a, b in zip(got, dense_delayed_diagonals(cfg, 3, 5)):
+            assert a.distance(b) < 1e-12
 
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
