@@ -1,6 +1,8 @@
 """Command-line front end: simulate walks, analyze them, draw figures, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 argument error, 3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 argument error, 3 I/O error,
+4 numerical failure (a computed value failed a check, and no output file is
+written).  ``main`` alone maps errors to exit codes and prints them.
 All output is deterministic; identical invocations produce byte-identical
 files.
 """
@@ -15,12 +17,10 @@ import math
 import sys
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from . import analysis, svgplot
-from .engine import SiteDistribution, WalkConfig, _cp_steps, _global_steps
+from .engine import NumericalError, SiteDistribution, WalkConfig, _cp_steps, _global_steps
 from .kernels import _kernel_steps, _prompt_steps, delayed_kernel
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 SCHEMES = ("prompt", "global", "kernel", "cp")
 
@@ -94,17 +94,12 @@ def build_config(args) -> WalkConfig:
     if getattr(args, "symmetric", False):
         return WalkConfig.symmetric(args.p if args.p is not None else 0.5)
     if args.p is None:
-        print("error: --p is required unless --symmetric is given", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError("--p is required unless --symmetric is given")
     if args.coin is not None:
         c, d = args.coin
     else:
         c, d = 1.0, 0.0
-    try:
-        return WalkConfig(c=c, d=d, p=args.p)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+    return WalkConfig(c=c, d=d, p=args.p)
 
 
 def walk_steps(config: WalkConfig, scheme: str, steps: int,
@@ -134,17 +129,13 @@ def _emit(path: str | None, pieces: Iterable[str]) -> None:
     anything that can fail numerically must have run before this is called,
     because the file is opened first.
     """
-    try:
-        if path is None or path == "-":
-            stream = contextlib.nullcontext(sys.stdout)
-        else:
-            stream = open(path, "w", encoding="utf-8", newline="")
-        with stream as fh:
-            for text in pieces:
-                _write(fh, text)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        raise SystemExit(3)
+    if path is None or path == "-":
+        stream = contextlib.nullcontext(sys.stdout)
+    else:
+        stream = open(path, "w", encoding="utf-8", newline="")
+    with stream as fh:
+        for text in pieces:
+            _write(fh, text)
 
 
 def _write(stream, text: str) -> None:
@@ -300,14 +291,8 @@ def cmd_entropy_figure(args) -> int:
 
 def cmd_verify(args) -> int:
     report = run_suite(args.suite, args.max_steps, args.tol)
-    _emit(args.out, [json.dumps(report, indent=2, default=_json_default) + "\n"])
+    _emit(args.out, [json.dumps(report, indent=2) + "\n"])
     return 0 if report["pass"] else 1
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 # -- parser -----------------------------------------------------------------
@@ -376,11 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     lorenz.set_defaults(func=cmd_lorenz_figure)
 
     ver = sub.add_parser("verify", help="run a verification suite")
-    ver.add_argument(
-        "suite",
-        choices=("kraus", "stochastic", "recurrence", "memory", "prop2",
-                 "analysis", "all"),
-    )
+    ver.add_argument("suite", choices=(*SUITES, "all"))
     ver.add_argument("--max-steps", type=int, default=12)
     ver.add_argument("--tol", type=float, default=None)
     ver.add_argument("--out", default=None)
@@ -401,11 +382,15 @@ def main(argv=None) -> int:
         parser.error("max-steps must be at least 1")
     try:
         return args.func(args)
-    except SystemExit:
-        raise
+    except NumericalError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

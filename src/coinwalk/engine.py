@@ -33,10 +33,13 @@ TRACE_TOL = 1e-12
 #: Largest coefficient deviation of sum_j A_j^dagger A_j from the identity.
 COMPLETENESS_TOL = 1e-10
 NEGATIVE_DUST = 1e-12
-DIAGONAL_FLOOR = -1e-10
 
 
-class KrausCompletenessError(ValueError):
+class NumericalError(ValueError):
+    """A computed value failed a consistency check: the inputs were valid."""
+
+
+class KrausCompletenessError(NumericalError):
     """Raised when a proposed Kraus family fails the completeness relation."""
 
 
@@ -103,13 +106,13 @@ class SiteDistribution(FiniteSequence):
         super().__init__(probs)
         total = float(self.values.sum())
         if not abs(total - 1.0) <= sum_tol:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+            raise NumericalError(f"probabilities sum to {total}, not 1")
 
     def _kept(self, lo: int, values: np.ndarray) -> np.ndarray:
         negative = ~(values >= -NEGATIVE_DUST)  # NaN too
         if np.count_nonzero(negative):
             k = int(np.argmax(negative))
-            raise ValueError(f"negative probability {values[k]} at site {lo + k}")
+            raise NumericalError(f"negative probability {values[k]} at site {lo + k}")
         return values > 0.0
 
     def _clean(self, probs: list) -> bool:
@@ -142,22 +145,26 @@ class DensityMatrix:
     stored.  The constructor takes the stored array: row and column r are
     site ``lo + 2r``, and every other entry of the window is zero.
     ``site_range``, ``dense`` and ``diagonal`` address the full window.
+    The stored array is read-only and owned: an input that is writable or
+    a view of another array is copied, so later writes cannot reach it.
     """
 
     __slots__ = ("_mat", "_lo")
 
     def __init__(self, mat: np.ndarray, lo: int):
         mat = np.asarray(mat, dtype=complex)
+        if mat.flags.writeable or mat.base is not None:
+            mat = mat.copy()
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
         mat, lo = _trim_window(mat, lo)
         # each check is written to fail on NaN
         if not np.max(np.abs(mat - mat.conj().T)) <= HERMITICITY_TOL:
-            raise ValueError("density matrix is not Hermitian")
+            raise NumericalError("density matrix is not Hermitian")
         if not abs(np.trace(mat).real - 1.0) <= TRACE_TOL:
-            raise ValueError(f"trace is {np.trace(mat).real}, not 1")
+            raise NumericalError(f"trace is {np.trace(mat).real}, not 1")
         if not np.min(np.diag(mat).real) >= -NEGATIVE_DUST:
-            raise ValueError("negative diagonal entry beyond tolerance")
+            raise NumericalError("negative diagonal entry beyond tolerance")
         mat.setflags(write=False)
         self._mat = mat
         self._lo = int(lo)
@@ -177,12 +184,10 @@ class DensityMatrix:
     def diagonal(self) -> SiteDistribution:
         """Site occupation probabilities from the diagonal.
 
-        Negative floating dust is clamped to zero; anything below -1e-10
-        is treated as a genuine positivity failure.
+        The constructor rejected entries below ``-NEGATIVE_DUST``; the
+        negative dust above it is clamped to zero.
         """
         diag = self._full_diagonal().real.copy()
-        if np.min(diag, initial=0.0) < DIAGONAL_FLOOR:
-            raise ValueError(f"diagonal entry {np.min(diag)} below {DIAGONAL_FLOOR}")
         diag[diag < 0.0] = 0.0
         total = diag.sum()
         if abs(total - 1.0) < 1e-10 and total > 0.0:
@@ -437,6 +442,7 @@ def cp_apply(rho: DensityMatrix, kraus: Sequence[LaurentOperator]) -> DensityMat
                 np.multiply(a * np.conj(b), src, out=term)
                 r, c = (d - dmin) // 2, (e - dmin) // 2
                 out[r : r + w, c : c + w] += term
+    out.setflags(write=False)  # handed over: the constructor need not copy it
     return DensityMatrix(out, rho.site_range[0] + dmin)
 
 

@@ -15,12 +15,12 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .engine import NORM_TOL, SiteDistribution, WalkConfig, _last, kraus_pair
+from .engine import (NORM_TOL, NumericalError, SiteDistribution, WalkConfig, _last,
+                     _UNIT_ROUNDOFF, kraus_pair)
 from .laurent import TRIM_TOL, FiniteSequence, LaurentOperator, window_sum
 
 REAL_TOL = 1e-12
 NONNEG_TOL = 1e-12
-UNIT_ROUNDOFF = 2.0**-53  # of IEEE double precision
 
 
 class IncompatibleCoinError(ValueError):
@@ -57,7 +57,7 @@ class RealKernel(FiniteSequence):
         super().__init__(coeffs)
         if kind == "stochastic":
             if np.count_nonzero(self.values < -NONNEG_TOL):
-                raise ValueError("stochastic kernel has a negative coefficient")
+                raise NumericalError("stochastic kernel has a negative coefficient")
             target = 1.0
         elif kind == "null-sum":
             target = 0.0
@@ -65,9 +65,9 @@ class RealKernel(FiniteSequence):
             raise ValueError(f"unknown kernel kind: {kind!r}")
         if kind is not None:
             total = self.coefficient_sum
-            bound = len(self) * UNIT_ROUNDOFF * float(np.abs(self.values).sum())
+            bound = len(self) * _UNIT_ROUNDOFF * float(np.abs(self.values).sum())
             if abs(total - target) > NORM_TOL + bound:
-                raise ValueError(f"{kind} kernel sums to {total}, not {target:g}")
+                raise NumericalError(f"{kind} kernel sums to {total}, not {target:g}")
         self.kind = kind
 
     @classmethod
@@ -76,7 +76,7 @@ class RealKernel(FiniteSequence):
         imag = np.abs(op.values.imag) > REAL_TOL
         if np.count_nonzero(imag):
             k = int(np.argmax(imag))
-            raise ValueError(f"coefficient at degree {op.lo + k} has imaginary part "
+            raise NumericalError(f"coefficient at degree {op.lo + k} has imaginary part "
                              f"{op.values.imag[k]}")
         return cls((op.lo, op.values.real), kind)
 
@@ -251,7 +251,7 @@ def binomial_solution(config: WalkConfig, n: int) -> SiteDistribution:
     # 3^n, so its total is only good to the rounding bound of the sum of all
     # terms and then of the window: (n + 1 + len) u sum_k ||C(n,k) term_k||_1
     mass = sum(float(np.abs(values).sum()) for _, values in scaled)
-    sum_tol = max(1e-9, (n + 1 + acc.size) * UNIT_ROUNDOFF * mass)
+    sum_tol = max(1e-9, (n + 1 + acc.size) * _UNIT_ROUNDOFF * mass)
     return SiteDistribution((lo, np.where(acc > 1e-11, acc, 0.0)), sum_tol=sum_tol)
 
 

@@ -57,9 +57,9 @@ def polyline_points(xs: Sequence[float], ys: Sequence[float], frame: _Frame) -> 
 def line_chart(
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
     *,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
+    title: str,
+    xlabel: str,
+    ylabel: str,
 ) -> str:
     """Render named (x, y) series as polylines with axes and a legend."""
     if not series:
@@ -72,12 +72,9 @@ def line_chart(
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}" '
         f'width="{WIDTH}" height="{HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH // 2}" y="28" text-anchor="middle" '
+        f'font-size="18" font-family="sans-serif">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{WIDTH // 2}" y="28" text-anchor="middle" '
-            f'font-size="18" font-family="sans-serif">{title}</text>'
-        )
 
     # axes
     x_axis_y = HEIGHT - MARGIN_BOTTOM
@@ -109,18 +106,16 @@ def line_chart(
             f'<text x="{MARGIN_LEFT - 8}" y="{_fmt(py + 4)}" text-anchor="end" '
             f'font-size="12" font-family="sans-serif">{_tick_label(fy)}</text>'
         )
-    if xlabel:
-        parts.append(
-            f'<text x="{(MARGIN_LEFT + WIDTH - MARGIN_RIGHT) // 2}" '
-            f'y="{HEIGHT - 15}" text-anchor="middle" font-size="14" '
-            f'font-family="sans-serif">{xlabel}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="20" y="{HEIGHT // 2}" text-anchor="middle" font-size="14" '
-            f'font-family="sans-serif" transform="rotate(-90 20 {HEIGHT // 2})">'
-            f"{ylabel}</text>"
-        )
+    parts.append(
+        f'<text x="{(MARGIN_LEFT + WIDTH - MARGIN_RIGHT) // 2}" '
+        f'y="{HEIGHT - 15}" text-anchor="middle" font-size="14" '
+        f'font-family="sans-serif">{xlabel}</text>'
+    )
+    parts.append(
+        f'<text x="20" y="{HEIGHT // 2}" text-anchor="middle" font-size="14" '
+        f'font-family="sans-serif" transform="rotate(-90 20 {HEIGHT // 2})">'
+        f"{ylabel}</text>"
+    )
 
     # series + legend
     for idx, (name, xs, ys) in enumerate(series):

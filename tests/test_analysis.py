@@ -286,6 +286,12 @@ class TestEntropySeries:
         assert series.slope == pytest.approx(0.0, abs=1e-15)
         assert series.descents == ()
 
+    def test_single_distribution(self):
+        series = entropy_series([SiteDistribution.delta()])
+        assert series.entropies.tolist() == [0.0]
+        assert series.slope == 0.0 and series.mean_increase == 0.0
+        assert series.descents == ()
+
     def test_quantum_exhibits_descents_at_scale(self):
         for p in (1.0 / 3.0, 0.5, 0.75):
             trajectory = global_trajectory(WalkConfig.symmetric(p), 100)

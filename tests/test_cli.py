@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from coinwalk import cli
-from coinwalk.engine import SiteDistribution
+from coinwalk.engine import NumericalError, SiteDistribution, WalkConfig
+from coinwalk.verify import run_suite
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -188,9 +189,7 @@ class TestSimulate:
         assert first == second
 
     def test_missing_p_is_argument_error(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            cli.main(["simulate", "--scheme", "global", "--steps", "3"])
-        assert err.value.code == 2
+        assert cli.main(["simulate", "--scheme", "global", "--steps", "3"]) == 2
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--steps", "5"],
@@ -198,9 +197,7 @@ class TestSimulate:
         ["analyze", "lorenz", "--coin", "c=0,d=1", "--steps", "5"],
     ])
     def test_missing_p_says_why(self, capsys, argv):
-        with pytest.raises(SystemExit) as err:
-            cli.main(argv)
-        assert err.value.code == 2
+        assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: --p is required unless --symmetric is given\n"
         assert captured.out == ""
@@ -222,9 +219,7 @@ class TestSimulate:
     ])
     @pytest.mark.parametrize("coin", ["c=nan,d=1", "c=1,d=nan", "c=1e999,d=0", "c=nani,d=1"])
     def test_nonfinite_coin_state_is_argument_error(self, capsys, argv, coin):
-        with pytest.raises(SystemExit) as err:
-            cli.main([*argv, "--p", "0.5", "--coin", coin, "--steps", "3"])
-        assert err.value.code == 2
+        assert cli.main([*argv, "--p", "0.5", "--coin", coin, "--steps", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: initial coin amplitudes must be finite")
         assert captured.out == ""
@@ -249,33 +244,53 @@ class TestSimulate:
     ], ids=["simulate-csv", "simulate-json", "simulate-svg", "analyze-entropy",
             "analyze-lorenz", "analyze-majorize", "analyze-sigma", "figure-lorenz",
             "figure-entropy"])
+    @pytest.mark.parametrize("error,code,prefix", [
+        (ValueError, 2, "error: "),
+        (NumericalError, 4, "error: numerical failure: "),
+    ], ids=["argument", "numerical"])
     def test_failing_trajectory_writes_no_file(self, tmp_path, capsys, monkeypatch,
-                                               argv, source):
+                                               argv, source, error, code, prefix):
         # every consumer of a walk fails after step 0 with nothing written
         def failing(config, *args):
             yield SiteDistribution.delta()
-            raise ValueError("probabilities sum to 2.0, not 1")
+            raise error("probabilities sum to 2.0, not 1")
 
         monkeypatch.setattr(cli, source, failing)
         walk = [] if argv[0] == "figure" else ["--p", "0.5", "--steps", "3"]
         path = tmp_path / "walk.out"
-        assert cli.main([*argv, *walk, "--out", str(path)]) == 2
+        assert cli.main([*argv, *walk, "--out", str(path)]) == code
         assert not path.exists()
-        assert cli.main([*argv, *walk, "--out", "-"]) == 2
+        assert cli.main([*argv, *walk, "--out", "-"]) == code
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: probabilities sum to 2.0, not 1\n" * 2
+        assert captured.err == f"{prefix}probabilities sum to 2.0, not 1\n" * 2
 
     def test_negative_steps_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["simulate", "--p", "0.5", "--steps", "-1"])
         assert err.value.code == 2
 
-    def test_unwritable_output_is_io_error(self, capsys):
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "--p", "0.5", "--m", "0", "--steps", "3"],
+         "trace period m must be at least 1"),
+        (["verify", "kraus", "--max-steps", "0"], "max-steps must be at least 1"),
+    ], ids=["m", "max-steps"])
+    def test_count_below_one_is_argument_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as err:
-            cli.main(["simulate", "--p", "0.5", "--steps", "1",
-                      "--out", "/nonexistent-dir/x.csv"])
-        assert err.value.code == 3
+            cli.main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.endswith(f"coinwalk: error: {message}\n")
+        assert captured.out == ""
+
+    def test_unknown_scheme_rejected(self):
+        # the parser only passes the four schemes; a library caller may not
+        with pytest.raises(ValueError, match="unknown scheme"):
+            cli.walk_steps(WalkConfig.symmetric(), "quantum", 3, 2)
+
+    def test_unwritable_output_is_io_error(self, capsys):
+        assert cli.main(["simulate", "--p", "0.5", "--steps", "1",
+                         "--out", "/nonexistent-dir/x.csv"]) == 3
 
 
 class TestCpByteIdentity:
@@ -666,6 +681,15 @@ class TestVerify:
         assert capsys.readouterr().err.startswith("error: tolerance must be finite and nonnegative")
         assert not path.exists()
 
+    @pytest.mark.parametrize("suite,max_steps,match", [
+        ("kraus", 0, "max_steps must be at least 1"),
+        ("bogus", 3, "unknown suite"),
+    ], ids=["max-steps", "suite"])
+    def test_run_suite_rejects_bad_arguments(self, suite, max_steps, match):
+        # the parser rejects both first; run_suite checks its own callers
+        with pytest.raises(ValueError, match=match):
+            run_suite(suite, max_steps)
+
     def test_report_schema(self, capsys):
         _, out = run(["verify", "stochastic", "--max-steps", "6"], capsys)
         report = json.loads(out)
@@ -691,6 +715,12 @@ class TestComplexParsing:
 
         with pytest.raises(argparse.ArgumentTypeError):
             cli.parse_complex("zebra")
+
+    def test_coin_missing_an_amplitude_rejected(self):
+        import argparse
+
+        with pytest.raises(argparse.ArgumentTypeError, match="c=<complex>,d=<complex>"):
+            cli.parse_coin("c=1")
 
     def test_coin_pair(self):
         c, d = cli.parse_coin(SYM_COIN)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from coinwalk.engine import (
     DensityMatrix,
     KrausCompletenessError,
+    NumericalError,
     SiteDistribution,
     WalkConfig,
     _global_amplitudes,
@@ -110,6 +111,10 @@ class TestWalkConfig:
     def test_nonfinite_coin_state_rejected(self, c, d):
         with pytest.raises(ValueError, match="finite"):
             WalkConfig(c=c, d=d, p=0.5)
+
+    def test_coin_of_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="2x2"):
+            WalkConfig(c=1.0, d=0.0, coin=np.eye(3))
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, math.nan)])
     def test_nonfinite_coin_matrix_rejected(self, entry):
@@ -264,6 +269,10 @@ class TestGlobalDistribution:
     def test_negative_steps_rejected(self, symmetric):
         with pytest.raises(ValueError, match="nonnegative"):
             global_distribution(symmetric, -1)
+
+    def test_negative_trajectory_steps_rejected(self, symmetric):
+        with pytest.raises(ValueError, match="nonnegative"):
+            global_trajectory(symmetric, -1)
 
     def test_symmetric_walk_is_symmetric(self, symmetric):
         for n, dist in enumerate(global_trajectory(symmetric, 50)):
@@ -432,6 +441,17 @@ class TestDensityMatrix:
         assert rho.dense()[1, 1] == 0.0
         assert rho.diagonal().support == (-3, -1)
 
+    def test_later_writes_do_not_reach_the_matrix(self):
+        # a writable input, then a read-only view whose base stays writable
+        mat = np.array([[0.5 + 0j, 0.0], [0.0, 0.5]])
+        base = mat.copy()
+        view = base[:]
+        view.setflags(write=False)
+        for source, target in ((mat, mat), (view, base)):
+            rho = DensityMatrix(source, 0)
+            target[0, 0] = 7.0
+            assert list(rho.diagonal().items()) == [(0, 0.5), (2, 0.5)]
+
     def test_diagonal_clamps_dust(self):
         # stored row 1 is site 2
         rho = DensityMatrix(
@@ -533,6 +553,33 @@ class TestCpWalk:
         want = dense_delayed_diagonals(cfg, m, iters)
         for a, b in zip(got, want):
             assert a.distance(b) < 1e-12
+
+
+class TestErrorKinds:
+    """Checks on computed values raise NumericalError; malformed input a plain ValueError."""
+
+    @pytest.mark.parametrize("build,match", [
+        (lambda: SiteDistribution({0: 0.5}), "sum to 0.5"),
+        (lambda: SiteDistribution({0: 1.1, 1: -0.1}), "negative probability"),
+        (lambda: from_entries({(0, 0): 1.0, (0, 2): 1j}), "Hermitian"),
+        (lambda: DensityMatrix(np.zeros((3, 3)), 0), "trace is 0.0"),
+        (lambda: DensityMatrix(np.diag([1.0 + 2e-12, -2e-12]), 0), "negative diagonal"),
+        (lambda: cp_apply(DensityMatrix.delta(), [LaurentOperator({1: 0.5})]), "completeness"),
+    ], ids=["sum", "negative-probability", "hermiticity", "all-zero-trace",
+            "negative-diagonal", "kraus-completeness"])
+    def test_computed_value_checks(self, build, match):
+        with pytest.raises(NumericalError, match=match):
+            build()
+
+    @pytest.mark.parametrize("build,match", [
+        (lambda: DensityMatrix(np.zeros((2, 3)), 0), "square"),
+        (lambda: cp_apply(DensityMatrix.delta(), [LaurentOperator({0: SQ2}),
+                                                  LaurentOperator({1: SQ2})]), "mixed parity"),
+    ], ids=["non-square", "mixed-parity"])
+    def test_malformed_input(self, build, match):
+        with pytest.raises(ValueError, match=match) as err:
+            build()
+        assert not isinstance(err.value, NumericalError)
 
 
 class TestSiteDistribution:

@@ -6,6 +6,7 @@ import pytest
 
 from coinwalk.analysis import Verdict, compare_majorization
 from coinwalk.engine import (
+    NumericalError,
     SiteDistribution,
     WalkConfig,
     cp_walk,
@@ -47,6 +48,21 @@ class TestRealKernel:
     def test_from_laurent_rejects_imaginary(self):
         with pytest.raises(ValueError):
             RealKernel.from_laurent(LaurentOperator({0: 1j}))
+
+    @pytest.mark.parametrize("build,match", [
+        (lambda: RealKernel({0: 0.5}, "stochastic"), "sums to 0.5"),
+        (lambda: RealKernel({0: 1.5, 1: -0.5}, "stochastic"), "negative coefficient"),
+        (lambda: RealKernel({0: 0.5}, "null-sum"), "sums to 0.5"),
+        (lambda: RealKernel.from_laurent(LaurentOperator({0: 1j})), "imaginary part"),
+    ], ids=["stochastic-sum", "negative", "null-sum", "imaginary"])
+    def test_checks_on_computed_values_are_numerical_errors(self, build, match):
+        with pytest.raises(NumericalError, match=match):
+            build()
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown kernel kind") as err:
+            RealKernel({0: 1.0}, "bistochastic")
+        assert not isinstance(err.value, NumericalError)
 
     def test_mapping_and_array_constructors_agree(self):
         a = RealKernel({-1: 0.25, 1: 0.75, 2: 1e-15}, "stochastic")
@@ -106,6 +122,10 @@ class TestClassicalKernel:
         with pytest.raises(ValueError):
             classical_kernel(1.2)
 
+    def test_null_sum_kernel_maps_no_distribution(self):
+        with pytest.raises(ValueError, match="only stochastic kernels"):
+            SHIFT_DIFFERENCE.apply_distribution(SiteDistribution.delta())
+
 
 class TestQuantumKernel:
     def test_one_step_symmetric(self, symmetric):
@@ -162,6 +182,22 @@ class TestMixingAndReshuffling:
     def test_reshuffling_index_below_one_rejected(self, symmetric):
         with pytest.raises(ValueError):
             reshuffling_matrix(symmetric, 0)
+
+    @pytest.mark.parametrize("build", [mixing_matrix, binomial_solution,
+                                       pseudo_memory_reconstruct])
+    def test_negative_count_rejected(self, symmetric, build):
+        with pytest.raises(ValueError, match="nonnegative"):
+            build(symmetric, -1)
+
+    @pytest.mark.parametrize("build", [mixing_matrix, phi_matrix, binomial_solution,
+                                       pseudo_memory_reconstruct])
+    def test_general_unitary_coin_rejected(self, build):
+        # these constructions are written in the one-parameter coin's bias p
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        cfg = WalkConfig(c=1.0, d=0.0, coin=hadamard)
+        args = () if build is phi_matrix else (3,)
+        with pytest.raises(ValueError, match="one-parameter coin"):
+            build(cfg, *args)
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_reshuffling_null_sums(self, p):

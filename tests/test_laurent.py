@@ -42,6 +42,10 @@ class TestConstruction:
         assert op.coeff(4) == 0j and op.coeff(7) == 0j
         assert (op - op).is_zero and len(op - op) == 0
 
+    def test_two_dimensional_values_rejected(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            LaurentOperator((0, np.eye(2, dtype=complex)))
+
     def test_values_are_read_only_copies(self):
         window = np.array([1.0, 2.0], dtype=complex)
         op = LaurentOperator((0, window))
@@ -186,6 +190,10 @@ class TestCoinBlock:
         got = v.power(2)[0, 0]
         # one block multiplication by hand: alpha^2 = p E+^2 + (1-p) 1
         assert got.isclose(LaurentOperator({+2: p, 0: 1 - p}), ALGEBRA_TOL)
+
+    def test_non_operator_entry_rejected(self):
+        with pytest.raises(TypeError, match="LaurentOperators"):
+            CoinBlock(((IDENTITY, 0.0), (0.0, IDENTITY)))
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
