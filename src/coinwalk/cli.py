@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 argument error, 3 I/O error,
 4 numerical failure (a computed value failed a check, and no output file is
-written).  ``main`` alone maps errors to exit codes and prints them.
+written).  ``main`` alone maps errors to exit codes and prints them.  In
+``verify`` a numerical failure is a failing check of its report, so exit 1.
 All output is deterministic; identical invocations produce byte-identical
 files.
 """
@@ -58,11 +59,10 @@ def parse_complex(text: str) -> complex:
 
 
 def parse_coin(text: str) -> tuple[complex, complex]:
-    """Parse ``c=<complex>,d=<complex>``."""
-    parts = dict(
-        item.split("=", 1) for item in text.split(",") if "=" in item
-    )
-    if set(parts) != {"c", "d"}:
+    """Parse ``c=<complex>,d=<complex>``: each key once, and no other item."""
+    items = [item.partition("=") for item in text.split(",")]
+    parts = {key: value for key, eq, value in items if eq}
+    if len(items) != 2 or set(parts) != {"c", "d"}:
         raise argparse.ArgumentTypeError(
             f"coin must be given as c=<complex>,d=<complex>, got {text!r}"
         )

@@ -421,7 +421,7 @@ def cp_apply(rho: DensityMatrix, kraus: Sequence[LaurentOperator]) -> DensityMat
     for op in kraus:
         total = total + op.adjoint() * op
     defect = total.distance(IDENTITY)
-    if defect > COMPLETENESS_TOL:
+    if not defect <= COMPLETENESS_TOL:  # NaN too
         raise KrausCompletenessError(
             f"Kraus completeness violated: residual {defect:.3e}"
         )

@@ -56,7 +56,7 @@ class RealKernel(FiniteSequence):
     def __init__(self, coeffs: Mapping[int, float] | tuple, kind: str | None = None):
         super().__init__(coeffs)
         if kind == "stochastic":
-            if np.count_nonzero(self.values < -NONNEG_TOL):
+            if np.count_nonzero(~(self.values >= -NONNEG_TOL)):  # NaN too
                 raise NumericalError("stochastic kernel has a negative coefficient")
             target = 1.0
         elif kind == "null-sum":
@@ -66,14 +66,14 @@ class RealKernel(FiniteSequence):
         if kind is not None:
             total = self.coefficient_sum
             bound = len(self) * _UNIT_ROUNDOFF * float(np.abs(self.values).sum())
-            if abs(total - target) > NORM_TOL + bound:
+            if not abs(total - target) <= NORM_TOL + bound < math.inf:  # NaN, inf too
                 raise NumericalError(f"{kind} kernel sums to {total}, not {target:g}")
         self.kind = kind
 
     @classmethod
     def from_laurent(cls, op: LaurentOperator, kind: str | None = None) -> "RealKernel":
         """Cast a Laurent operator with (analytically) real coefficients."""
-        imag = np.abs(op.values.imag) > REAL_TOL
+        imag = ~(np.abs(op.values.imag) <= REAL_TOL)  # NaN too
         if np.count_nonzero(imag):
             k = int(np.argmax(imag))
             raise NumericalError(f"coefficient at degree {op.lo + k} has imaginary part "

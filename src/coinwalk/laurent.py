@@ -70,7 +70,7 @@ class FiniteSequence:
 
     def _kept(self, lo: int, values: np.ndarray) -> np.ndarray:
         """Mask of the entries to store; the rest are set to zero."""
-        return _magnitude(values) > TRIM_TOL
+        return ~(_magnitude(values) <= TRIM_TOL)  # NaN is kept, for the checks to see
 
     def _clean(self, coeffs: list) -> bool:
         """Whether ``_kept`` keeps every nonzero entry and both ends; must agree with it."""

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import analysis, kernels
 from .engine import (
+    NumericalError,
     SiteDistribution,
     WalkConfig,
     cp_walk,
@@ -380,14 +381,15 @@ def run_suite(name: str, max_steps: int = 12, tol: float | None = None) -> dict:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     if tol is not None and not 0.0 <= tol < math.inf:  # NaN too
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
-    if name == "all":
-        checks = []
-        for fn in SUITES.values():
-            checks.extend(fn(max_steps, tol))
-    elif name in SUITES:
-        checks = SUITES[name](max_steps, tol)
-    else:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite: {name!r}")
+    checks = []
+    for suite in SUITES if name == "all" else (name,):
+        try:
+            checks.extend(SUITES[suite](max_steps, tol))
+        except NumericalError as exc:  # the suite's own checks are lost; the report is not
+            checks.append(_check(f"{suite}-numerical-failure", {"max_steps": max_steps},
+                                 1.0, 0.5, note=str(exc)))
     return {
         "suite": name,
         "max_steps": max_steps,

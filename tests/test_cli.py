@@ -2,12 +2,13 @@ import hashlib
 import json
 import math
 import tracemalloc
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from coinwalk import cli
+from coinwalk import cli, verify
 from coinwalk.engine import NumericalError, SiteDistribution, WalkConfig
 from coinwalk.verify import run_suite
 
@@ -129,6 +130,10 @@ OUTPUT_SHA256 = {
     "figure-lorenz": ("figure lorenz --p 0.25 --steps 0,10,40", "2e2607ba688f8e87292776f38708f072a77e6519923e4989b890eabc67e84b22"),
     "figure-lorenz-coin": ("figure lorenz --p 0.25 --coin c=0,d=1 --steps 0,10,40", "baf2586d15927f5ef2c41a8e254893f7f00403132f5337d6ca5b4bb9cb34ab08"),
     "figure-memory-diagram": ("figure memory-diagram --steps 5", "1225655477802b3c8d4beeb9b5b1bc81876252596848ffec73f388ea877cf14f"),
+    # one column centred (n == 0), and the spacing of max(n, 1) at n == 1
+    "figure-memory-diagram-0": ("figure memory-diagram --steps 0", "2671515119937b68c6f7e1559ea1dd8b18617a89279784766c1dad62b4c0e5b1"),
+    "figure-memory-diagram-1": ("figure memory-diagram --steps 1", "0ccaebf487d9ade93b53d2adbe803bb45d14b866e7e0191931624fa0e22c8da9"),
+    "figure-entropy": ("figure entropy --steps 50", "32adbc06844026f6c9d4e4248f2959905a4654334f2d39fadc02c8fae9fe4eac"),
     "csv-prompt p=1/3 c=0,d=1": ("simulate --emit csv --scheme prompt --p 0.3333333333333333 --coin c=0,d=1 --steps 40", "2c2e80debe614e0b02921876e5ef21e8c972ac6e1fa9e7fe5d59a3566b886bee"),
     "entropy-prompt p=1/3 c=0,d=1": ("analyze entropy --scheme prompt --p 0.3333333333333333 --coin c=0,d=1 --steps 40", "ca50efbd8245278946d15705f6b8b05080feae597d29f747e4f498ba02e2a947"),
     "majorize-prompt p=1/3 c=0,d=1": ("analyze majorize --scheme prompt --p 0.3333333333333333 --coin c=0,d=1 --steps 40", "418984585515cdf1cfdbc6583f1969ee8c87673796c3a7180d91716f668da004"),
@@ -596,6 +601,18 @@ class TestFigure:
             cli.main(["figure", "entropy", "--steps", "20", "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("args", [
+        *(f"simulate --emit svg --scheme {scheme} --p 0.25 --symmetric --steps 6"
+          for scheme in cli.SCHEMES),
+        "figure memory-diagram --steps 3",
+        "figure lorenz --p 0.25 --steps 0,3,6",
+        "figure entropy --steps 6",
+    ])
+    def test_every_svg_parses(self, tmp_path, args):
+        path = tmp_path / "out.svg"
+        assert cli.main(args.split() + ["--out", str(path)]) == 0
+        assert ET.parse(path).getroot().tag == "{http://www.w3.org/2000/svg}svg"
+
 
 class TestVerify:
     def test_kraus_suite_passes(self, capsys):
@@ -690,6 +707,27 @@ class TestVerify:
         with pytest.raises(ValueError, match=match):
             run_suite(suite, max_steps)
 
+    @pytest.mark.parametrize("suite", ["memory", "all"])
+    def test_numerical_failure_is_a_failing_check(self, tmp_path, monkeypatch, suite):
+        # the report is still written, and the other suites still run
+        def raising(max_steps, tol):
+            raise NumericalError("probabilities sum to 0.5, not 1")
+
+        others = [c for name, fn in verify.SUITES.items() if suite == "all" and name != "memory"
+                  for c in json.loads(json.dumps(fn(3, None)))]
+        monkeypatch.setitem(verify.SUITES, "memory", raising)
+        path = tmp_path / "report.json"
+        assert cli.main(["verify", suite, "--max-steps", "3", "--out", str(path)]) == 1
+        report = json.loads(path.read_text())
+        failure = {
+            "name": "memory-numerical-failure", "params": {"max_steps": 3},
+            "max_residual": 1.0, "tolerance": 0.5, "pass": False, "informational": False,
+            "note": "probabilities sum to 0.5, not 1",
+        }
+        assert report["pass"] is False
+        assert [c for c in report["checks"] if c != failure] == others
+        assert report["checks"].count(failure) == 1
+
     def test_report_schema(self, capsys):
         _, out = run(["verify", "stochastic", "--max-steps", "6"], capsys)
         report = json.loads(out)
@@ -721,6 +759,22 @@ class TestComplexParsing:
 
         with pytest.raises(argparse.ArgumentTypeError, match="c=<complex>,d=<complex>"):
             cli.parse_coin("c=1")
+
+    @pytest.mark.parametrize("text", [
+        "c=1,d=0,foo", "c=1,d=0,", "c=1,,d=0", "c=1,d=0,c=1", "c=1,d=0,c=0", "c=1,d=0,d=0",
+        "c=1,d=0,e=1", "c=1,e=0",
+    ])
+    def test_malformed_coin_rejected(self, text):
+        import argparse
+
+        with pytest.raises(argparse.ArgumentTypeError, match="c=<complex>,d=<complex>"):
+            cli.parse_coin(text)
+
+    def test_malformed_coin_is_argument_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["simulate", "--p", "0.5", "--coin", "c=1,d=0,foo", "--steps", "3"])
+        assert err.value.code == 2
+        assert "coin must be given as c=<complex>,d=<complex>" in capsys.readouterr().err
 
     def test_coin_pair(self):
         c, d = cli.parse_coin(SYM_COIN)

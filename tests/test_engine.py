@@ -565,8 +565,10 @@ class TestErrorKinds:
         (lambda: DensityMatrix(np.zeros((3, 3)), 0), "trace is 0.0"),
         (lambda: DensityMatrix(np.diag([1.0 + 2e-12, -2e-12]), 0), "negative diagonal"),
         (lambda: cp_apply(DensityMatrix.delta(), [LaurentOperator({1: 0.5})]), "completeness"),
+        (lambda: cp_apply(DensityMatrix.delta(), [LaurentOperator({0: 1.0, 2: math.nan})]),
+         "completeness violated: residual nan"),
     ], ids=["sum", "negative-probability", "hermiticity", "all-zero-trace",
-            "negative-diagonal", "kraus-completeness"])
+            "negative-diagonal", "kraus-completeness", "kraus-completeness-nan"])
     def test_computed_value_checks(self, build, match):
         with pytest.raises(NumericalError, match=match):
             build()

@@ -54,7 +54,16 @@ class TestRealKernel:
         (lambda: RealKernel({0: 1.5, 1: -0.5}, "stochastic"), "negative coefficient"),
         (lambda: RealKernel({0: 0.5}, "null-sum"), "sums to 0.5"),
         (lambda: RealKernel.from_laurent(LaurentOperator({0: 1j})), "imaginary part"),
-    ], ids=["stochastic-sum", "negative", "null-sum", "imaginary"])
+        # non-finite values: NaN fails every comparison, and an infinite sum
+        # has an infinite rounding bound
+        (lambda: RealKernel((0, [0.5, math.nan, 0.5]), "stochastic"), "negative coefficient"),
+        (lambda: RealKernel({0: math.inf, 1: 1.0}, "stochastic"), "sums to inf"),
+        (lambda: RealKernel({0: math.nan, 1: 1.0}, "null-sum"), "sums to nan"),
+        (lambda: RealKernel({0: math.inf, 1: -math.inf}, "null-sum"), "sums to nan"),
+        (lambda: RealKernel.from_laurent(LaurentOperator({0: 1.0, 1: complex(0.0, math.nan)})),
+         "imaginary part nan"),
+    ], ids=["stochastic-sum", "negative", "null-sum", "imaginary", "stochastic-nan",
+            "stochastic-inf", "null-sum-nan", "null-sum-inf", "imaginary-nan"])
     def test_checks_on_computed_values_are_numerical_errors(self, build, match):
         with pytest.raises(NumericalError, match=match):
             build()

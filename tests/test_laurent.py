@@ -42,6 +42,18 @@ class TestConstruction:
         assert op.coeff(4) == 0j and op.coeff(7) == 0j
         assert (op - op).is_zero and len(op - op) == 0
 
+    @pytest.mark.parametrize("cls", [LaurentOperator, RealKernel])
+    @pytest.mark.parametrize("coeffs,degree", [
+        ({0: np.nan, 1: 1.0}, 0),
+        ((0, [0.5, np.nan, 0.5]), 1),
+        ({-1: np.inf, 2: 1.0}, -1),
+        ((3, [-np.inf]), 3),
+    ], ids=["nan-mapping", "nan-window", "inf-mapping", "inf-window"])
+    def test_non_finite_entries_are_kept(self, cls, coeffs, degree):
+        # a trimmed NaN would hide from every later check
+        seq = cls(coeffs)
+        assert [d for d, v in seq.items() if not np.isfinite(v)] == [degree]
+
     def test_two_dimensional_values_rejected(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             LaurentOperator((0, np.eye(2, dtype=complex)))
