@@ -48,7 +48,12 @@ class WalkConfig:
     """Coin parameters and initial coin state for a walk started at the origin.
 
     Either ``p`` (the standard one-parameter coin) or ``coin`` (an arbitrary
-    2x2 unitary) must be given, not both.
+    2x2 unitary) must be given, not both.  The coin matrix is built once, as
+    a read-only array (a given ``coin`` is copied).  Two configs are equal
+    when their parameters are exactly equal: ``c``, ``d`` and ``p`` of the
+    same types with the same bytes, and the same coin matrix bytes.  Equal
+    configs build every operator, kernel and distribution bit for bit
+    alike, so the memoised constructions share their entries.
     """
 
     c: complex
@@ -66,16 +71,31 @@ class WalkConfig:
         if self.p is not None:
             if not 0.0 <= self.p <= 1.0:
                 raise ValueError(f"coin bias must lie in [0, 1], got {self.p}")
+            sp, sq = np.sqrt(self.p), np.sqrt(1.0 - self.p)
+            u = np.array([[sp, sq], [sq, -sp]], dtype=complex)
         else:
-            u = np.asarray(self.coin, dtype=complex)
+            u = np.array(self.coin, dtype=complex)
             if u.shape != (2, 2):
                 raise ValueError("coin must be a 2x2 matrix")
             if not np.isfinite(u).all():
                 raise ValueError("coin matrix entries must be finite")
             if not np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12:
                 raise ValueError("coin matrix is not unitary")
-            u.setflags(write=False)
             object.__setattr__(self, "coin", u)
+        u.setflags(write=False)
+        object.__setattr__(self, "_unitary", u)
+        # the scalar's type picks LaurentOperator.__rmul__'s rounding path
+        exact = [(type(v), np.asarray(v).tobytes()) for v in (self.c, self.d, self.p)
+                 if v is not None]
+        object.__setattr__(self, "_key", (u.tobytes(), *exact))
+
+    def __eq__(self, other):
+        if not isinstance(other, WalkConfig):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     @classmethod
     def symmetric(cls, p: float = 0.5) -> "WalkConfig":
@@ -86,10 +106,29 @@ class WalkConfig:
     @property
     def coin_unitary(self) -> np.ndarray:
         """``coin``, or the one-parameter coin [[sqrt(p), sqrt(1-p)], [sqrt(1-p), -sqrt(p)]]."""
-        if self.coin is not None:
-            return self.coin
-        sp, sq = np.sqrt(self.p), np.sqrt(1.0 - self.p)
-        return np.array([[sp, sq], [sq, -sp]], dtype=complex)
+        return self._unitary
+
+
+#: Entries in each memoised construction's LRU cache.
+MEMO_SIZE = 256
+
+
+def memoised(build):
+    """``build(config, n)`` with an LRU cache of ``MEMO_SIZE`` entries of its own.
+
+    The key is ``config`` by :class:`WalkConfig` equality and ``n`` by type
+    and value.  A hit returns the object a cold call built, so callers must
+    not modify it.  The result stays a plain function, which a tracer can
+    wrap; ``cache_clear`` and ``cache_info`` are the cache's.
+    """
+    cached = functools.lru_cache(maxsize=MEMO_SIZE, typed=True)(build)
+
+    @functools.wraps(build)
+    def lookup(*args, **kwargs):
+        return cached(*args, **kwargs)
+
+    lookup.cache_clear, lookup.cache_info = cached.cache_clear, cached.cache_info
+    return lookup
 
 
 class SiteDistribution(FiniteSequence):
@@ -239,12 +278,13 @@ def _step_operator(u: np.ndarray) -> CoinBlock:
     )
 
 
+@memoised
 def kraus_pair(config: WalkConfig, n: int) -> tuple[LaurentOperator, LaurentOperator]:
     """Kraus generators of the n-step globally traced walk.
 
     A0 picks the coin-0 row of the n-step block power applied to the initial
     coin state; A1 the coin-1 row.  Together they satisfy the completeness
-    relation in both operator orders (they are normal).
+    relation in both operator orders (they are normal).  Memoised.
     """
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
@@ -254,7 +294,7 @@ def kraus_pair(config: WalkConfig, n: int) -> tuple[LaurentOperator, LaurentOper
     return a0, a1
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def _step_power(coin: bytes, n: int) -> CoinBlock:
     """The n-th power of the step operator of the coin unitary with these bytes.
 
@@ -286,7 +326,8 @@ def global_trajectory(config: WalkConfig, n: int) -> list[SiteDistribution]:
 
 def _global_steps(config: WalkConfig, n: int) -> Iterator[SiteDistribution]:
     """The distributions of :func:`global_trajectory`, one at a time."""
-    return (_amplitude_distribution(psi, n) for psi in _global_amplitudes(config, n))
+    sum_tol = _stepped_sum_tol(config, n)
+    return (_amplitude_distribution(psi, n, sum_tol) for psi in _global_amplitudes(config, n))
 
 
 def _global_amplitudes(config: WalkConfig, n: int) -> Iterator[np.ndarray]:
@@ -322,8 +363,25 @@ def _global_amplitudes(config: WalkConfig, n: int) -> Iterator[np.ndarray]:
         yield psi
 
 
-def _amplitude_distribution(psi: np.ndarray, offset: int) -> SiteDistribution:
-    return SiteDistribution((-offset, np.abs(psi[0]) ** 2 + np.abs(psi[1]) ** 2))
+def _amplitude_distribution(psi: np.ndarray, offset: int, sum_tol: float) -> SiteDistribution:
+    return SiteDistribution((-offset, np.abs(psi[0]) ** 2 + np.abs(psi[1]) ** 2), sum_tol=sum_tol)
+
+
+def _stepped_sum_tol(config: WalkConfig, n: int) -> float:
+    """How far from 1 the totals of an n-step stepped walk may be; never below 1e-12.
+
+    The bound adds the initial coin's norm slack; the drift of the squared
+    norm, at most the coin's unitarity defect plus 13 u per step; and the
+    rounding of the 2(2n + 1) squares and of their pairwise sum, 6 u plus
+    the sum's depth (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3-4).  CHANGES.md has the derivation.
+    """
+    coin = config.coin_unitary
+    defect = float(np.linalg.norm(coin.conj().T @ coin - np.eye(2))) + 8 * _UNIT_ROUNDOFF
+    norm = abs(config.c) ** 2 + abs(config.d) ** 2
+    drift = norm * math.expm1(n * (defect + 13 * _UNIT_ROUNDOFF))
+    squares = ((2 * n + 1).bit_length() + 32) * _UNIT_ROUNDOFF
+    return max(1e-12, abs(norm - 1.0) + drift + squares)
 
 
 def _last(steps: Iterator):

@@ -13,6 +13,8 @@ from coinwalk.engine import DensityMatrix, SiteDistribution, WalkConfig
 
 P_GRID = (0.25, 1.0 / 3.0, 0.5, 0.75)
 COIN_INITS = ((0.0, 1.0), (1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)))
+#: A general unitary coin: a Hadamard coin with complex phases.
+PHASED_COIN = np.array([[1.0, 1j], [1j, 1.0]]) * np.exp(0.3j) / np.sqrt(2.0)
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coinwalk.engine import (
     DensityMatrix,
@@ -34,6 +34,7 @@ from coinwalk.laurent import IDENTITY, LaurentOperator
 from conftest import (
     COIN_INITS,
     P_GRID,
+    PHASED_COIN,
     binomial_distribution,
     dense_cp,
     dense_delayed_diagonals,
@@ -43,8 +44,6 @@ from conftest import (
 )
 
 SQ2 = 1.0 / math.sqrt(2.0)
-#: A general unitary coin: a Hadamard coin with complex phases.
-PHASED_COIN = np.array([[1.0, 1j], [1j, 1.0]]) * np.exp(0.3j) * SQ2
 
 
 #: Every coin the momentum-space tests run: each bias with each initial coin
@@ -115,6 +114,17 @@ class TestWalkConfig:
     def test_coin_of_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match="2x2"):
             WalkConfig(c=1.0, d=0.0, coin=np.eye(3))
+
+    def test_coin_matrix_is_built_once_and_read_only(self):
+        given = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+        biased, general = WalkConfig(c=1.0, d=0.0, p=0.25), WalkConfig(c=1.0, d=0.0, coin=given)
+        for cfg in (biased, general):
+            assert cfg.coin_unitary is cfg.coin_unitary
+            assert not cfg.coin_unitary.flags.writeable
+        # the given array is copied: it stays writable, and writing it changes nothing
+        assert general.coin is general.coin_unitary and given.flags.writeable
+        given[0, 0] = 0.0
+        assert general.coin_unitary[0, 0] == 1 / math.sqrt(2.0)
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, math.nan)])
     def test_nonfinite_coin_matrix_rejected(self, entry):
@@ -249,6 +259,8 @@ class TestGlobalDistribution:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 2000))
+    @example(1928, 1806)  # the stepped total drifts to 1 - 1.0e-12
+    @example(1559345, 1072)  # and to 1 + 1.0e-12
     def test_random_unitary_coins_agree_with_stepping(self, seed, n):
         cfg = random_unitary_config(seed)
         assert global_distribution(cfg, n).distance(stepped_distribution(cfg, n)) < 1e-12

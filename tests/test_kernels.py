@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -6,12 +7,15 @@ import pytest
 
 from coinwalk.analysis import Verdict, compare_majorization
 from coinwalk.engine import (
+    MEMO_SIZE,
     NumericalError,
     SiteDistribution,
     WalkConfig,
+    _step_power,
     cp_walk,
     global_distribution,
     global_trajectory,
+    kraus_pair,
 )
 from coinwalk.kernels import (
     SHIFT_DIFFERENCE,
@@ -30,8 +34,9 @@ from coinwalk.kernels import (
     reshuffling_matrix,
 )
 from coinwalk.laurent import IDENTITY, LaurentOperator
+from coinwalk.verify import run_suite
 
-from conftest import COIN_INITS, P_GRID
+from conftest import COIN_INITS, P_GRID, PHASED_COIN
 
 
 class TestRealKernel:
@@ -405,6 +410,12 @@ class TestPseudoMemory:
             got = pseudo_memory_reconstruct(cfg, n)
             assert got.distance(trajectory[n]) < 1e-10
 
+    def test_reconstruction_at_four_hundred_steps(self):
+        # the classical powers have lost 1.7e-12 of their mass to trimming by here
+        cfg = WalkConfig(c=0.0, d=1.0, p=0.25)
+        want = global_trajectory(cfg, 400)[-1]
+        assert pseudo_memory_reconstruct(cfg, 400).distance(want) < 1e-10
+
     def test_incompatible_coin_reported(self):
         cfg = WalkConfig(c=1.0, d=0.0, p=0.25)
         with pytest.raises(IncompatibleCoinError) as err:
@@ -420,3 +431,86 @@ class TestKernelCpDivergence:
         assert walk[0].total_variation(cp[0]) < 1e-12
         assert walk[1].total_variation(cp[1]) < 1e-12
         assert walk[2].total_variation(cp[2]) > 1e-6
+
+
+#: Every memoised construction; ``clear_memos`` also clears the step powers beneath them.
+MEMOISED = {"kraus_pair": kraus_pair, "quantum_kernel": quantum_kernel,
+            "mixing_matrix": mixing_matrix}
+MEMO_CONFIGS = [
+    *(WalkConfig(c=cd[0], d=cd[1], p=p) for p in P_GRID for cd in COIN_INITS),
+    *(WalkConfig(c=cd[0], d=cd[1], coin=PHASED_COIN) for cd in COIN_INITS),
+]
+
+
+def clear_memos():
+    for fn in (*MEMOISED.values(), _step_power):
+        fn.cache_clear()
+
+
+def bits(value):
+    """Everything a result is made of, down to the bytes of its coefficients."""
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    return type(value), value.lo, value.values.tobytes(), getattr(value, "kind", None)
+
+
+def memo_id(cfg):
+    bias = "phased" if cfg.p is None else f"p={cfg.p:.3g}"
+    return f"{bias},c={cfg.c:.3g},d={cfg.d:.3g}"
+
+
+class TestMemo:
+    @pytest.mark.parametrize("name,cfg", [
+        pytest.param(name, cfg, id=f"{name}-{memo_id(cfg)}")
+        for name in MEMOISED for cfg in MEMO_CONFIGS
+        if cfg.p is not None or name != "mixing_matrix"  # it needs the one-parameter coin
+    ])
+    def test_warm_equals_cold(self, name, cfg):
+        fn = MEMOISED[name]
+        clear_memos()
+        cold = [bits(fn(cfg, n)) for n in range(21)]
+        hits = fn.cache_info().hits
+        twin = WalkConfig(c=cfg.c, d=cfg.d, p=cfg.p, coin=cfg.coin)
+        assert [bits(fn(twin, n)) for n in range(21)] == cold
+        assert fn.cache_info().hits == hits + 21
+        clear_memos()
+        assert [bits(fn(cfg, n)) for n in reversed(range(21))] == cold[::-1]
+
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_symmetric_and_hand_built_configs_agree(self, p):
+        s = 1.0 / np.sqrt(2.0)
+        sym, same = WalkConfig.symmetric(p), WalkConfig(c=s, d=1j * s, p=p)
+        plain = WalkConfig(c=float(s), d=complex(1j * s), p=p)  # Python scalars: another key
+        assert sym == same and hash(sym) == hash(same) and sym != plain
+        for name, fn in MEMOISED.items():
+            results = []
+            for cfg in (sym, same, plain):
+                clear_memos()
+                results.append([bits(fn(cfg, n)) for n in range(13)])
+            assert results[0] == results[1] == results[2], name
+            assert fn(same, 12) is fn(sym, 12), name
+
+    def test_configs_differing_in_any_parameter_are_unequal(self):
+        base = WalkConfig(c=0.0, d=1.0, p=0.5)
+        assert base == WalkConfig(c=0.0, d=1.0, p=0.5)
+        others = [WalkConfig(c=0.0, d=1.0, p=0.25), WalkConfig(c=0, d=1.0, p=0.5),
+                  WalkConfig(c=-0.0, d=1.0, p=0.5), WalkConfig(c=0.0, d=1.0 + 0j, p=0.5),
+                  WalkConfig(c=0.0, d=1.0, coin=base.coin_unitary)]
+        for other in others:
+            assert base != other and other != base
+
+    def test_verify_twice_is_byte_identical_to_a_cold_run(self):
+        clear_memos()
+        cold = json.dumps(run_suite("all", 14))
+        assert json.dumps(run_suite("all", 14)) == cold
+        assert json.dumps(run_suite("all", 14)) == cold
+
+    def test_caches_stay_within_their_bound(self):
+        cfg = WalkConfig(c=0.0, d=1.0, p=0.25)
+        clear_memos()
+        pseudo_memory_reconstruct(cfg, 400)
+        for n in range(400):
+            quantum_kernel(cfg, n)
+        for fn in (*MEMOISED.values(), _step_power):
+            info = fn.cache_info()
+            assert info.maxsize == MEMO_SIZE and info.currsize == MEMO_SIZE
