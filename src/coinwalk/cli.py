@@ -1,21 +1,23 @@
 """Command-line front end: simulate walks, analyze them, draw figures, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 argument error, 3 I/O error,
-4 numerical failure (a computed value failed a check, and no output file is
-written).  ``main`` alone maps errors to exit codes and prints them.  In
-``verify`` a numerical failure is a failing check of its report, so exit 1.
-All output is deterministic; identical invocations produce byte-identical
-files.
+4 numerical failure (a computed value failed a check).  ``main`` alone maps
+errors to exit codes and prints them; in ``verify`` a numerical failure is a
+failing check of its report, so exit 1.  Output replaces ``--out``, or reaches
+stdout, only on success: a failure leaves an existing file as it was.  All
+output is deterministic: identical invocations give byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import itertools
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 from typing import Iterable, Iterator
 
 from . import analysis, svgplot
@@ -125,17 +127,32 @@ _WRITE_CHUNK = 1 << 20
 def _emit(path: str | None, pieces: Iterable[str]) -> None:
     """Write the text pieces in order to ``path``, or to stdout for None or "-".
 
-    The pieces are rendered as they are written, so no joined text exists;
-    anything that can fail numerically must have run before this is called,
-    because the file is opened first.
+    The pieces go to a temporary file as they are rendered, so no joined text
+    exists.  Only once all are written does it replace the file ``path`` names
+    (through any symlink), or get copied to stdout, a device or a pipe.
     """
-    if path is None or path == "-":
-        stream = contextlib.nullcontext(sys.stdout)
-    else:
-        stream = open(path, "w", encoding="utf-8", newline="")
-    with stream as fh:
-        for text in pieces:
-            _write(fh, text)
+    stdout = path is None or path == "-"
+    if stdout or os.path.exists(path) and not os.path.isfile(path):
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+            for text in pieces:
+                _write(spool, text)
+            spool.seek(0)
+            if stdout:
+                return shutil.copyfileobj(spool, sys.stdout)
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                return shutil.copyfileobj(spool, fh)
+    path = os.path.realpath(path)
+    # not mkstemp (mode 0o600): open() gives it the mode a new path gets, 0o666 & ~umask
+    temp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fh = open(temp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            for text in pieces:
+                _write(fh, text)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _write(stream, text: str) -> None:
@@ -156,19 +173,14 @@ def _config_record(config: WalkConfig, scheme: str, m: int) -> dict:
 # -- simulate ---------------------------------------------------------------
 
 
-# The per-site tables are rendered one step at a time as they are written.
-# Their callers list the distributions first, so that a numerical failure in
-# any step is raised before the output is opened.
-
-
-def _site_table(trajectory: list[SiteDistribution]) -> Iterator[str]:
+def _site_table(trajectory: Iterable[SiteDistribution]) -> Iterator[str]:
     yield "step,site,probability\n"
     for n, dist in enumerate(trajectory):
         sites, probs = dist.to_arrays()
         yield _rows(n, "%d,%.17g", sites.tolist(), probs.tolist())
 
 
-def _lorenz_table(trajectory: list[SiteDistribution]) -> Iterator[str]:
+def _lorenz_table(trajectory: Iterable[SiteDistribution]) -> Iterator[str]:
     yield "step,n,n_over_N,gamma\n"
     for step, dist in enumerate(trajectory):
         curve = analysis.lorenz_curve(dist)
@@ -181,7 +193,7 @@ def cmd_simulate(args) -> int:
     config = build_config(args)
     steps = walk_steps(config, args.scheme, args.steps, args.m)
     if args.emit == "csv":
-        _emit(args.out, _site_table(list(steps)))
+        _emit(args.out, _site_table(steps))
     elif args.emit == "json":
         records = []
         for n, dist in enumerate(steps):
@@ -209,7 +221,7 @@ def cmd_analyze(args) -> int:
     config = build_config(args)
     steps = walk_steps(config, args.scheme, args.steps, args.m)
     if args.which == "lorenz":
-        _emit(args.out, _lorenz_table(list(steps)))
+        _emit(args.out, _lorenz_table(steps))
         return 0
     if args.which == "entropy":
         classical = _prompt_steps(WalkConfig(c=0.0, d=1.0, p=config.p), args.steps)

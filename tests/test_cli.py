@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -266,9 +267,26 @@ class TestSimulate:
         assert cli.main([*argv, *walk, "--out", str(path)]) == code
         assert not path.exists()
         assert cli.main([*argv, *walk, "--out", "-"]) == code
+        path.write_text("earlier output\n")
+        assert cli.main([*argv, *walk, "--out", str(path)]) == code
+        assert path.read_text() == "earlier output\n"
+        assert os.listdir(tmp_path) == ["walk.out"]
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"{prefix}probabilities sum to 2.0, not 1\n" * 2
+        assert captured.err == f"{prefix}probabilities sum to 2.0, not 1\n" * 3
+        # a walk that succeeds, into a directory, and into a file it cannot replace
+        monkeypatch.undo()
+        (tmp_path / "dir").mkdir()
+        assert cli.main([*argv, *walk, "--out", str(tmp_path / "dir")]) == 3
+
+        def failing_replace(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(cli.os, "replace", failing_replace)
+        assert cli.main([*argv, *walk, "--out", str(path)]) == 3
+        assert path.read_text() == "earlier output\n"
+        assert sorted(os.listdir(tmp_path)) == ["dir", "walk.out"]
+        assert capsys.readouterr().err.count("error: cannot write output: ") == 2
 
     def test_negative_steps_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -390,6 +408,24 @@ class TestWrite:
         cli._emit("-", iter([text[:5], "", text[5:]]))
         assert path.read_text() == text
         assert capsys.readouterr().out == text
+        # a new file gets the mode open() gives one, 0o666 & ~umask
+        open(tmp_path / "reference", "w").close()
+        assert path.stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+    def test_symlink_and_pipe_are_written_through(self, tmp_path):
+        (tmp_path / "link").symlink_to(tmp_path / "target")
+        cli._emit(str(tmp_path / "link"), ["a\n", "b\n"])
+        assert (tmp_path / "link").is_symlink()
+        assert (tmp_path / "target").read_text() == "a\nb\n"
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            cli._emit(str(fifo), ["a\n", "b\n"])
+            assert os.read(reader, 64) == b"a\nb\n"
+        finally:
+            os.close(reader)
+        assert fifo.is_fifo()
 
 
 #: Bounds on the tracemalloc peak (which numpy reports to) of one command, in
@@ -402,9 +438,9 @@ PEAK_MB = {
     "analyze majorize --p 0.5 --symmetric --steps 600": 0.5,
     "analyze entropy --p 0.5 --symmetric --steps 600": 0.5,
     "figure entropy --steps 600": 0.6,
-    # the 601 distributions, but one step's rows of text at a time (held 16.2, 22.2)
-    "simulate --p 0.5 --symmetric --steps 600": 5.3,
-    "analyze lorenz --p 0.5 --symmetric --steps 600": 6.4,
+    # one distribution and its rows of text at a time (held 3.2, 3.2)
+    "simulate --p 0.5 --symmetric --steps 600": 0.5,
+    "analyze lorenz --p 0.5 --symmetric --steps 600": 0.6,
     # the plotted steps only (held 3.3, 3.1)
     "simulate --emit svg --p 0.5 --symmetric --steps 600": 0.7,
     "figure lorenz --p 0.5 --steps 10,600": 0.3,
