@@ -1,11 +1,12 @@
 """Command-line front end: simulate walks, analyze them, draw figures, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 argument error, 3 I/O error,
-4 numerical failure (a computed value failed a check).  ``main`` alone maps
-errors to exit codes and prints them; in ``verify`` a numerical failure is a
-failing check of its report, so exit 1.  Output replaces ``--out``, or reaches
-stdout, only on success: a failure leaves an existing file as it was.  All
-output is deterministic: identical invocations give byte-identical files.
+4 numerical failure (a computed value failed a check).  Each ``cmd_*`` returns
+its exit code and its output's text pieces; ``main`` alone writes them, once,
+and maps errors to exit codes and prints them.  In ``verify`` a numerical
+failure is a failing check of its report, so exit 1.  Output replaces ``--out``,
+or reaches stdout, only on success: a failure leaves an existing file as it was.
+All output is deterministic: identical invocations give byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,11 +22,9 @@ import tempfile
 from typing import Iterable, Iterator
 
 from . import analysis, svgplot
-from .engine import NumericalError, SiteDistribution, WalkConfig, _cp_steps, _global_steps
-from .kernels import _kernel_steps, _prompt_steps, delayed_kernel
+from .engine import NumericalError, SiteDistribution, WalkConfig
+from .kernels import SCHEMES, walk_steps
 from .verify import SUITES, run_suite
-
-SCHEMES = ("prompt", "global", "kernel", "cp")
 
 
 def _fmt(x: float) -> str:
@@ -97,25 +96,8 @@ def build_config(args) -> WalkConfig:
         return WalkConfig.symmetric(args.p if args.p is not None else 0.5)
     if args.p is None:
         raise ValueError("--p is required unless --symmetric is given")
-    if args.coin is not None:
-        c, d = args.coin
-    else:
-        c, d = 1.0, 0.0
+    c, d = args.coin or (1.0, 0.0)
     return WalkConfig(c=c, d=d, p=args.p)
-
-
-def walk_steps(config: WalkConfig, scheme: str, steps: int,
-               m: int) -> Iterator[SiteDistribution]:
-    """Step-0..N distributions for any of the four tracing schemes, one at a time."""
-    if scheme == "prompt":
-        return _prompt_steps(config, steps)
-    if scheme == "global":
-        return _global_steps(config, steps)
-    if scheme == "kernel":
-        return _kernel_steps(delayed_kernel(config, m), steps)
-    if scheme == "cp":
-        return (rho.diagonal() for rho in _cp_steps(config, m, steps))
-    raise ValueError(f"unknown scheme: {scheme!r}")
 
 
 #: Characters handed to the output stream per write.  A text stream encodes
@@ -189,42 +171,39 @@ def _lorenz_table(trajectory: Iterable[SiteDistribution]) -> Iterator[str]:
                     fractions, curve.gammas.tolist())
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[int, Iterable[str]]:
     config = build_config(args)
     steps = walk_steps(config, args.scheme, args.steps, args.m)
     if args.emit == "csv":
-        _emit(args.out, _site_table(steps))
-    elif args.emit == "json":
+        return 0, _site_table(steps)
+    if args.emit == "json":
         records = []
         for n, dist in enumerate(steps):
             sites, probs = dist.to_arrays()
             records.append({"n": n, "sites": sites.tolist(), "probs": probs.tolist()})
         record = {"config": _config_record(config, args.scheme, args.m), "steps": records}
-        _emit(args.out, [json.dumps(record, indent=2) + "\n"])
-    else:  # svg
-        stride = max((args.steps + 1) // 6, 1)
-        series = []
-        for n, dist in enumerate(steps):
-            if n % stride == 0 or n == args.steps:
-                sites, probs = dist.to_arrays()
-                series.append((f"step {n}", sites.tolist(), probs.tolist()))
-        chart = svgplot.line_chart(series, title=f"{args.scheme} walk site distributions",
-                                   xlabel="site", ylabel="probability")
-        _emit(args.out, [chart])
-    return 0
+        return 0, [json.dumps(record, indent=2) + "\n"]
+    stride = max((args.steps + 1) // 6, 1)
+    series = []
+    for n, dist in enumerate(steps):
+        if n % stride == 0 or n == args.steps:
+            sites, probs = dist.to_arrays()
+            series.append((f"step {n}", sites.tolist(), probs.tolist()))
+    chart = svgplot.line_chart(series, title=f"{args.scheme} walk site distributions",
+                               xlabel="site", ylabel="probability")
+    return 0, [chart]
 
 
 # -- analyze ----------------------------------------------------------------
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[int, Iterable[str]]:
     config = build_config(args)
     steps = walk_steps(config, args.scheme, args.steps, args.m)
     if args.which == "lorenz":
-        _emit(args.out, _lorenz_table(steps))
-        return 0
+        return 0, _lorenz_table(steps)
     if args.which == "entropy":
-        classical = _prompt_steps(WalkConfig(c=0.0, d=1.0, p=config.p), args.steps)
+        classical = walk_steps(WalkConfig(c=0.0, d=1.0, p=config.p), "prompt", args.steps)
         lines = ["step,entropy_classical_nats,entropy_quantum_nats"]
         for n, (dc, dq) in enumerate(zip(classical, steps)):
             sc, sq = analysis.shannon_entropy(dc), analysis.shannon_entropy(dq)
@@ -242,8 +221,7 @@ def cmd_analyze(args) -> int:
             spread = 2 * math.sqrt(n * config.p * (1 - config.p))
             ratio = sigma / spread if spread else (math.inf if sigma else math.nan)
             lines.append(f"{n},{args.scheme},{_fmt(sigma)},{_fmt(ratio)}")
-    _emit(args.out, ["\n".join(lines) + "\n"])
-    return 0
+    return 0, ["\n".join(lines) + "\n"]
 
 
 # -- figure -----------------------------------------------------------------
@@ -262,23 +240,22 @@ def entropy_figure_series(p_values: list[float], steps: int):
     series = []
     xs = list(range(steps + 1))
     for p in p_values:
-        walk = _global_steps(WalkConfig.symmetric(p), steps)
+        walk = walk_steps(WalkConfig.symmetric(p), "global", steps)
         series.append(
             (f"quantum p={p:.4g}", xs, [analysis.shannon_entropy(d) for d in walk])
         )
-    classical = _prompt_steps(WalkConfig(c=0.0, d=1.0, p=0.5), steps)
+    classical = walk_steps(WalkConfig(c=0.0, d=1.0, p=0.5), "prompt", steps)
     series.append(
         ("classical p=0.5", xs, [analysis.shannon_entropy(d) for d in classical])
     )
     return series
 
 
-def cmd_memory_diagram(args) -> int:
-    _emit(args.out, [svgplot.memory_diagram(args.steps)])
-    return 0
+def cmd_memory_diagram(args) -> tuple[int, Iterable[str]]:
+    return 0, [svgplot.memory_diagram(args.steps)]
 
 
-def cmd_lorenz_figure(args) -> int:
+def cmd_lorenz_figure(args) -> tuple[int, Iterable[str]]:
     if args.coin is not None:
         config = WalkConfig(c=args.coin[0], d=args.coin[1], p=args.p)
     else:
@@ -286,25 +263,22 @@ def cmd_lorenz_figure(args) -> int:
     series = lorenz_figure_series(config, args.steps, args.scheme, args.m)
     chart = svgplot.line_chart(series, title="Lorenz curves of successive walk distributions",
                                xlabel="fraction of slots", ylabel="cumulative probability")
-    _emit(args.out, [chart])
-    return 0
+    return 0, [chart]
 
 
-def cmd_entropy_figure(args) -> int:
+def cmd_entropy_figure(args) -> tuple[int, Iterable[str]]:
     series = entropy_figure_series(args.p or [1.0 / 3.0, 0.5, 0.75], args.steps)
     chart = svgplot.line_chart(series, title="Quantum and classical entropies by step",
                                xlabel="step", ylabel="entropy (nats)")
-    _emit(args.out, [chart])
-    return 0
+    return 0, [chart]
 
 
 # -- verify -----------------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, Iterable[str]]:
     report = run_suite(args.suite, args.max_steps, args.tol)
-    _emit(args.out, [json.dumps(report, indent=2) + "\n"])
-    return 0 if report["pass"] else 1
+    return 0 if report["pass"] else 1, [json.dumps(report, indent=2) + "\n"]
 
 
 # -- parser -----------------------------------------------------------------
@@ -393,7 +367,9 @@ def main(argv=None) -> int:
     if getattr(args, "max_steps", 1) < 1:
         parser.error("max-steps must be at least 1")
     try:
-        return args.func(args)
+        code, pieces = args.func(args)
+        _emit(args.out, pieces)
+        return code
     except NumericalError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 4

@@ -131,6 +131,11 @@ def memoised(build):
     return lookup
 
 
+def _check_steps(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"step count must be nonnegative, got {n}")
+
+
 class SiteDistribution(FiniteSequence):
     """A finite-support probability distribution over integer lattice sites.
 
@@ -286,8 +291,7 @@ def kraus_pair(config: WalkConfig, n: int) -> tuple[LaurentOperator, LaurentOper
     coin state; A1 the coin-1 row.  Together they satisfy the completeness
     relation in both operator orders (they are normal).  Memoised.
     """
-    if n < 0:
-        raise ValueError(f"step count must be nonnegative, got {n}")
+    _check_steps(n)
     block = _step_power(config.coin_unitary.tobytes(), n)
     a0 = config.c * block[0, 0] + config.d * block[0, 1]
     a1 = config.c * block[1, 0] + config.d * block[1, 1]
@@ -340,8 +344,7 @@ def _global_amplitudes(config: WalkConfig, n: int) -> Iterator[np.ndarray]:
     operand of every multiply, because numpy's complex multiply rounds
     differently with the operands swapped.
     """
-    if n < 0:
-        raise ValueError(f"step count must be nonnegative, got {n}")
+    _check_steps(n)
     u = config.coin_unitary
     size = 2 * n + 1
     psi = np.zeros((2, size), dtype=complex)
@@ -398,8 +401,7 @@ def global_distribution(config: WalkConfig, n: int) -> SiteDistribution:
     n + 1 sites of the parity sublattice.  :func:`global_trajectory` steps
     the same walk in position space and is the cross-check.
     """
-    if n < 0:
-        raise ValueError(f"step count must be nonnegative, got {n}")
+    _check_steps(n)
     amplitudes = np.fft.ifft(_walk_symbol(config, n, n + 1))
     probs = (amplitudes.real ** 2 + amplitudes.imag ** 2).sum(axis=0)
     return _sublattice_distribution(probs, n)

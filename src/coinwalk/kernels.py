@@ -15,12 +15,14 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .engine import (NORM_TOL, NumericalError, SiteDistribution, WalkConfig, _last,
-                     _UNIT_ROUNDOFF, kraus_pair, memoised)
+from .engine import (NORM_TOL, NumericalError, SiteDistribution, WalkConfig, _check_steps,
+                     _cp_steps, _global_steps, _last, _UNIT_ROUNDOFF, kraus_pair, memoised)
 from .laurent import TRIM_TOL, FiniteSequence, LaurentOperator, window_sum
 
 REAL_TOL = 1e-12
 NONNEG_TOL = 1e-12
+#: The tracing schemes :func:`walk_steps` evaluates.
+SCHEMES = ("prompt", "global", "kernel", "cp")
 
 
 class IncompatibleCoinError(ValueError):
@@ -110,9 +112,12 @@ class RealKernel(FiniteSequence):
     def apply_distribution(self, dist: SiteDistribution) -> SiteDistribution:
         if self.kind != "stochastic":
             raise ValueError("only stochastic kernels map distributions to distributions")
+        return SiteDistribution(self._shifted_sum(dist))
+
+    def _shifted_sum(self, dist: SiteDistribution) -> tuple[int, np.ndarray]:
         # the convolution as shifted adds over ascending kernel degrees
         degrees = enumerate(self.values.tolist(), self.lo + dist.lo)
-        return SiteDistribution(window_sum((lo, c * dist.values) for lo, c in degrees if c))
+        return window_sum((lo, c * dist.values) for lo, c in degrees if c)
 
 
 SHIFT_DIFFERENCE = RealKernel({+1: 1.0, -1: -1.0}, "null-sum")
@@ -149,8 +154,7 @@ def quantum_kernel(config: WalkConfig, n: int) -> RealKernel:
 @memoised
 def mixing_matrix(config: WalkConfig, i: int) -> RealKernel:
     """The inhomogeneous mixing term of the kernel recurrence at step i.  Memoised."""
-    if i < 0:
-        raise ValueError(f"step count must be nonnegative, got {i}")
+    _check_steps(i)
     if i == 0:
         return RealKernel({})
     p = _require_bias(config)
@@ -191,15 +195,28 @@ def kernel_walk(kernel: RealKernel, n: int) -> list[SiteDistribution]:
 
 def _kernel_steps(kernel: RealKernel, n: int) -> Iterator[SiteDistribution]:
     """The kernel walk's distributions after steps 0..n, one at a time."""
-    if n < 0:
-        raise ValueError(f"step count must be nonnegative, got {n}")
+    _check_steps(n)
     if kernel.kind != "stochastic":
         raise ValueError("kernel walk requires a stochastic kernel")
+    sum_tol = _kernel_sum_tol(kernel, n)
     current = SiteDistribution.delta(0)
     yield current
     for _ in range(n):
-        current = kernel.apply_distribution(current)
+        current = SiteDistribution(kernel._shifted_sum(current), sum_tol=sum_tol)
         yield current
+
+
+def _kernel_sum_tol(kernel: RealKernel, n: int) -> float:
+    """How far from 1 the totals of an n-step kernel walk may be; never below 1e-12.
+
+    |S^n - 1| for S the kernel's exact coefficient sum, (len + 1) u per step for
+    its nonnegative products and sums, and the final pairwise sum's depth
+    (Higham, ch. 3-4).  CHANGES.md has the derivation.
+    """
+    growth = math.expm1(n * math.log1p(math.fsum([*kernel.values.tolist(), -1.0])))
+    drift = (1.0 + growth) * math.expm1(n * (len(kernel) + 1) * _UNIT_ROUNDOFF)
+    pairwise = ((n * kernel.values.size + 1).bit_length() + 26) * _UNIT_ROUNDOFF
+    return max(1e-12, abs(growth) + drift + pairwise)
 
 
 def _prompt_kernel(config: WalkConfig) -> RealKernel:
@@ -217,17 +234,26 @@ def _prompt_kernel(config: WalkConfig) -> RealKernel:
 
 def prompt_trajectory(config: WalkConfig, n: int) -> list[SiteDistribution]:
     """Distributions of the promptly traced walk for steps 0..n."""
-    return list(_prompt_steps(config, n))
-
-
-def _prompt_steps(config: WalkConfig, n: int) -> Iterator[SiteDistribution]:
-    """The distributions of :func:`prompt_trajectory`, one at a time."""
-    return _kernel_steps(_prompt_kernel(config), n)
+    return list(walk_steps(config, "prompt", n))
 
 
 def prompt_distribution(config: WalkConfig, n: int) -> SiteDistribution:
     """Distribution after n steps with the coin traced after every step."""
-    return _last(_prompt_steps(config, n))
+    return _last(walk_steps(config, "prompt", n))
+
+
+def walk_steps(config: WalkConfig, scheme: str, n: int,
+               m: int = 2) -> Iterator[SiteDistribution]:
+    """Step-0..n distributions of a scheme in SCHEMES (kernel, cp: period m), one at a time."""
+    if scheme == "prompt":
+        return _kernel_steps(_prompt_kernel(config), n)
+    if scheme == "global":
+        return _global_steps(config, n)
+    if scheme == "kernel":
+        return _kernel_steps(delayed_kernel(config, m), n)
+    if scheme == "cp":
+        return (rho.diagonal() for rho in _cp_steps(config, m, n))
+    raise ValueError(f"unknown scheme: {scheme!r}")
 
 
 def binomial_solution(config: WalkConfig, n: int) -> SiteDistribution:
@@ -236,8 +262,7 @@ def binomial_solution(config: WalkConfig, n: int) -> SiteDistribution:
     Valid because the classical kernel and its null-sum correction commute
     as translation-invariant kernels.
     """
-    if n < 0:
-        raise ValueError(f"step count must be nonnegative, got {n}")
+    _check_steps(n)
     delta_c = classical_kernel(_require_bias(config))
     phi = phi_matrix(config)
     # one convolution per power; from the kindless unit kernel the classical
@@ -265,8 +290,7 @@ def pseudo_memory_reconstruct(config: WalkConfig, n: int) -> SiteDistribution:
     the classical kernel at the first step, which pins the base case of the
     decomposition; otherwise :class:`IncompatibleCoinError` is raised.
     """
-    if n < 0:
-        raise ValueError(f"step count must be nonnegative, got {n}")
+    _check_steps(n)
     p = _require_bias(config)
     a0, _ = kraus_pair(config, 1)
     measured_right = abs(a0.coeff(+1)) ** 2

@@ -23,11 +23,9 @@ from .engine import (
 )
 from .kernels import (
     RealKernel,
-    SHIFT_DIFFERENCE,
     classical_kernel,
     delayed_kernel,
     kernel_walk,
-    mixing_matrix,
     phi_matrix,
     prompt_trajectory,
     pseudo_memory_reconstruct,
@@ -141,9 +139,7 @@ def suite_recurrence(max_steps: int, tol: float | None = None) -> list[dict]:
         delta_c = classical_kernel(p)
         for n in range(1, max_steps + 1):
             lhs = quantum_kernel(cfg, n + 1)
-            rhs = delta_c.convolve(quantum_kernel(cfg, n)) + SHIFT_DIFFERENCE.convolve(
-                mixing_matrix(cfg, n)
-            )
+            rhs = delta_c.convolve(quantum_kernel(cfg, n)) + reshuffling_matrix(cfg, n + 1)
             worst = max(worst, lhs.distance(rhs))
         checks.append(
             _check(

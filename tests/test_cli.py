@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from coinwalk import cli, verify
-from coinwalk.engine import NumericalError, SiteDistribution, WalkConfig
+from coinwalk.engine import NumericalError, SiteDistribution
 from coinwalk.verify import run_suite
 
 REPO = Path(__file__).resolve().parent.parent
@@ -246,7 +246,7 @@ class TestSimulate:
         (["analyze", "majorize"], "walk_steps"),
         (["analyze", "sigma"], "walk_steps"),
         (["figure", "lorenz", "--steps", "0,3"], "walk_steps"),
-        (["figure", "entropy", "--steps", "3"], "_global_steps"),
+        (["figure", "entropy", "--steps", "3"], "walk_steps"),
     ], ids=["simulate-csv", "simulate-json", "simulate-svg", "analyze-entropy",
             "analyze-lorenz", "analyze-majorize", "analyze-sigma", "figure-lorenz",
             "figure-entropy"])
@@ -306,14 +306,28 @@ class TestSimulate:
         assert captured.err.endswith(f"coinwalk: error: {message}\n")
         assert captured.out == ""
 
-    def test_unknown_scheme_rejected(self):
-        # the parser only passes the four schemes; a library caller may not
-        with pytest.raises(ValueError, match="unknown scheme"):
-            cli.walk_steps(WalkConfig.symmetric(), "quantum", 3, 2)
-
     def test_unwritable_output_is_io_error(self, capsys):
         assert cli.main(["simulate", "--p", "0.5", "--steps", "1",
                          "--out", "/nonexistent-dir/x.csv"]) == 3
+
+
+class TestHandlers:
+    @pytest.mark.parametrize("handler,argv,want", [
+        (cli.cmd_simulate, ["simulate", "--p", "0.5", "--steps", "4"], 0),
+        (cli.cmd_simulate, ["simulate", "--p", "0.5", "--steps", "4", "--emit", "json"], 0),
+        (cli.cmd_verify, ["verify", "kraus", "--max-steps", "3"], 0),
+        (cli.cmd_verify, ["verify", "kraus", "--max-steps", "3", "--tol", "0"], 1),
+    ], ids=["simulate-csv", "simulate-json", "verify", "verify-failing"])
+    def test_handler_returns_what_main_writes(self, tmp_path, handler, argv, want):
+        # a handler renders its output and leaves --out alone; main writes it
+        path = tmp_path / "out"
+        argv = [*argv, "--out", str(path)]
+        code, pieces = handler(cli.build_parser().parse_args(argv))
+        text = "".join(pieces)
+        assert code == want
+        assert not path.exists()
+        assert cli.main(argv) == code
+        assert path.read_bytes() == text.encode()
 
 
 class TestCpByteIdentity:

@@ -11,6 +11,7 @@ from coinwalk.engine import (
     NumericalError,
     SiteDistribution,
     WalkConfig,
+    _last,
     _step_power,
     cp_walk,
     global_distribution,
@@ -18,9 +19,12 @@ from coinwalk.engine import (
     kraus_pair,
 )
 from coinwalk.kernels import (
+    SCHEMES,
     SHIFT_DIFFERENCE,
     IncompatibleCoinError,
     RealKernel,
+    _kernel_sum_tol,
+    _prompt_kernel,
     binomial_solution,
     classical_kernel,
     delayed_kernel,
@@ -32,6 +36,7 @@ from coinwalk.kernels import (
     pseudo_memory_reconstruct,
     quantum_kernel,
     reshuffling_matrix,
+    walk_steps,
 )
 from coinwalk.laurent import IDENTITY, LaurentOperator
 from coinwalk.verify import run_suite
@@ -333,6 +338,64 @@ class TestKernelWalk:
     def test_negative_prompt_steps_rejected(self, symmetric):
         with pytest.raises(ValueError, match="nonnegative"):
             prompt_distribution(symmetric, -1)
+
+
+def assert_same_steps(got, want):
+    got = list(got)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.lo, a.values.tobytes()) == (b.lo, b.values.tobytes())
+
+
+class TestWalkSteps:
+    @pytest.mark.parametrize("n", [0, 1, 40])
+    @pytest.mark.parametrize("p", P_GRID)
+    @pytest.mark.parametrize("c,d", COIN_INITS)
+    def test_prompt_and_global_equal_their_list_forms(self, n, p, c, d):
+        cfg = WalkConfig(c=c, d=d, p=p)
+        for m in (1, 2, 3):  # the period of the kernel and cp schemes only
+            assert_same_steps(walk_steps(cfg, "prompt", n, m), prompt_trajectory(cfg, n))
+            assert_same_steps(walk_steps(cfg, "global", n, m), global_trajectory(cfg, n))
+
+    @pytest.mark.parametrize("n", [0, 1, 40])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("p", P_GRID)
+    @pytest.mark.parametrize("c,d", COIN_INITS)
+    def test_period_schemes_equal_their_list_forms(self, n, m, p, c, d):
+        cfg = WalkConfig(c=c, d=d, p=p)
+        assert_same_steps(walk_steps(cfg, "kernel", n, m),
+                          kernel_walk(delayed_kernel(cfg, m), n))
+        assert_same_steps(walk_steps(cfg, "cp", n, m),
+                          [rho.diagonal() for rho in cp_walk(cfg, m, n)])
+
+    def test_default_period_is_two(self, symmetric):
+        for scheme in SCHEMES:
+            assert_same_steps(walk_steps(symmetric, scheme, 5),
+                              list(walk_steps(symmetric, scheme, 5, 2)))
+
+    def test_unknown_scheme_rejected(self):
+        # the CLI parser only passes SCHEMES; a library caller may not
+        with pytest.raises(ValueError, match="unknown scheme"):
+            walk_steps(WalkConfig.symmetric(), "quantum", 3, 2)
+
+
+class TestKernelSumTolerance:
+    @pytest.mark.parametrize("scheme,m,n", [("prompt", 1, 5000), ("kernel", 2, 3000)])
+    @pytest.mark.parametrize("p", P_GRID)
+    @pytest.mark.parametrize("c,d", [(1 / np.sqrt(2), 1j / np.sqrt(2)), (1.0, 0.0)],
+                             ids=["symmetric", "c=1,d=0"])
+    def test_long_walks_pass_their_sum_check(self, scheme, m, n, p, c, d):
+        # a fixed 1e-12 failed these after 2,580-4,718 steps: the totals
+        # drift by about n |S - 1| plus n len(kernel) u
+        last = _last(walk_steps(WalkConfig(c=c, d=d, p=p), scheme, n, m))
+        assert abs(float(last.values.sum()) - 1.0) < 5e-12
+
+    @pytest.mark.parametrize("p", P_GRID)
+    @pytest.mark.parametrize("c,d", COIN_INITS)
+    def test_tolerance_stays_at_rounding_level(self, p, c, d):
+        kernel = _prompt_kernel(WalkConfig(c=c, d=d, p=p))
+        assert _kernel_sum_tol(kernel, 0) == _kernel_sum_tol(kernel, 14) == 1e-12
+        assert _kernel_sum_tol(kernel, 10**5) < 1e-10
 
 
 #: sha256 over n = 0..21 of ``repr(lo)`` and ``values.tobytes()`` of
