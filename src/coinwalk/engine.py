@@ -36,7 +36,14 @@ NEGATIVE_DUST = 1e-12
 
 
 class NumericalError(ValueError):
-    """A computed value failed a consistency check: the inputs were valid."""
+    """A computed value failed a consistency check: the inputs were valid.
+
+    Holds the ``value`` the check measured and the ``bound`` it broke (NaN if not given).
+    """
+
+    def __init__(self, message: str, value: float = math.nan, bound: float = math.nan):
+        super().__init__(message)
+        self.value, self.bound = float(value), float(bound)
 
 
 class KrausCompletenessError(NumericalError):
@@ -136,6 +143,13 @@ def _check_steps(n: int) -> None:
         raise ValueError(f"step count must be nonnegative, got {n}")
 
 
+def _parity_window(values: np.ndarray) -> np.ndarray:
+    """The full window of a parity sublattice: entry i of ``values`` at 2i, zeros between."""
+    window = np.zeros(2 * len(values) - 1, dtype=values.dtype)
+    window[::2] = values
+    return window
+
+
 class SiteDistribution(FiniteSequence):
     """A finite-support probability distribution over integer lattice sites.
 
@@ -150,13 +164,14 @@ class SiteDistribution(FiniteSequence):
         super().__init__(probs)
         total = float(self.values.sum())
         if not abs(total - 1.0) <= sum_tol:
-            raise NumericalError(f"probabilities sum to {total}, not 1")
+            raise NumericalError(f"probabilities sum to {total}, not 1", abs(total - 1.0), sum_tol)
 
     def _kept(self, lo: int, values: np.ndarray) -> np.ndarray:
         negative = ~(values >= -NEGATIVE_DUST)  # NaN too
         if np.count_nonzero(negative):
             k = int(np.argmax(negative))
-            raise NumericalError(f"negative probability {values[k]} at site {lo + k}")
+            raise NumericalError(f"negative probability {values[k]} at site {lo + k}",
+                                 -values[k], NEGATIVE_DUST)
         return values > 0.0
 
     def _clean(self, probs: list) -> bool:
@@ -203,12 +218,15 @@ class DensityMatrix:
             raise ValueError("density matrix must be square")
         mat, lo = _trim_window(mat, lo)
         # each check is written to fail on NaN
-        if not np.max(np.abs(mat - mat.conj().T)) <= HERMITICITY_TOL:
-            raise NumericalError("density matrix is not Hermitian")
-        if not abs(np.trace(mat).real - 1.0) <= TRACE_TOL:
-            raise NumericalError(f"trace is {np.trace(mat).real}, not 1")
-        if not np.min(np.diag(mat).real) >= -NEGATIVE_DUST:
-            raise NumericalError("negative diagonal entry beyond tolerance")
+        defect = np.max(np.abs(mat - mat.conj().T))
+        if not defect <= HERMITICITY_TOL:
+            raise NumericalError("density matrix is not Hermitian", defect, HERMITICITY_TOL)
+        trace = np.trace(mat).real
+        if not abs(trace - 1.0) <= TRACE_TOL:
+            raise NumericalError(f"trace is {trace}, not 1", abs(trace - 1.0), TRACE_TOL)
+        lowest = np.min(np.diag(mat).real)
+        if not lowest >= -NEGATIVE_DUST:
+            raise NumericalError("negative diagonal entry beyond tolerance", -lowest, NEGATIVE_DUST)
         mat.setflags(write=False)
         self._mat = mat
         self._lo = int(lo)
@@ -251,9 +269,7 @@ class DensityMatrix:
         Sums over it round as over a dense matrix's diagonal; the zeros off
         the sublattice change numpy's pairwise grouping.
         """
-        diag = np.zeros(2 * self._mat.shape[0] - 1, dtype=complex)
-        diag[::2] = np.diag(self._mat)
-        return diag
+        return _parity_window(np.diag(self._mat))
 
 
 def _trim_window(mat: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
@@ -331,43 +347,29 @@ def global_trajectory(config: WalkConfig, n: int) -> list[SiteDistribution]:
 def _global_steps(config: WalkConfig, n: int) -> Iterator[SiteDistribution]:
     """The distributions of :func:`global_trajectory`, one at a time."""
     sum_tol = _stepped_sum_tol(config, n)
-    return (_amplitude_distribution(psi, n, sum_tol) for psi in _global_amplitudes(config, n))
+    return (SiteDistribution((-k, _parity_window((np.abs(psi) ** 2).sum(axis=0))), sum_tol=sum_tol)
+            for k, psi in enumerate(_global_amplitudes(config, n)))
 
 
 def _global_amplitudes(config: WalkConfig, n: int) -> Iterator[np.ndarray]:
-    """Joint amplitudes (coin, site + n) after steps 0..n, one new array per step.
+    """Joint amplitudes (coin, occupied site) after steps 0..n, one new array per step.
 
-    Each step allocates one ``(2, 2n + 1)`` array, which is yielded and
-    never written again, so callers may keep it.  Each row is one coin
-    product written into it with ``out=`` plus the second product from a
-    scratch buffer shared by all steps; the coefficient stays the first
-    operand of every multiply, because numpy's complex multiply rounds
-    differently with the operands swapped.
+    Step k's array has shape ``(2, k + 1)``, column i is site 2i - k, and
+    it is never written once yielded, so callers may keep it.  Each row is
+    one coin combination of the previous step; the coefficient stays the
+    first operand of every multiply, because numpy's complex multiply
+    rounds differently with the operands swapped.
     """
     _check_steps(n)
     u = config.coin_unitary
-    size = 2 * n + 1
-    psi = np.zeros((2, size), dtype=complex)
-    psi[0, n] = config.c
-    psi[1, n] = config.d
+    psi = np.array([[config.c], [config.d]], dtype=complex)
     yield psi
-    scratch = np.empty(size - 1, dtype=complex)
-    for _ in range(n):
-        new = np.empty((2, size), dtype=complex)
-        up, down = new[0, 1:], new[1, :-1]
-        new[0, 0] = new[1, -1] = 0.0
-        np.multiply(u[0, 0], psi[0, :-1], out=up)
-        np.multiply(u[0, 1], psi[1, :-1], out=scratch)
-        np.add(up, scratch, out=up)
-        np.multiply(u[1, 0], psi[0, 1:], out=down)
-        np.multiply(u[1, 1], psi[1, 1:], out=scratch)
-        np.add(down, scratch, out=down)
+    for k in range(1, n + 1):
+        new = np.zeros((2, k + 1), dtype=complex)
+        new[0, 1:] = u[0, 0] * psi[0] + u[0, 1] * psi[1]
+        new[1, :-1] = u[1, 0] * psi[0] + u[1, 1] * psi[1]
         psi = new
         yield psi
-
-
-def _amplitude_distribution(psi: np.ndarray, offset: int, sum_tol: float) -> SiteDistribution:
-    return SiteDistribution((-offset, np.abs(psi[0]) ** 2 + np.abs(psi[1]) ** 2), sum_tol=sum_tol)
 
 
 def _stepped_sum_tol(config: WalkConfig, n: int) -> float:
@@ -375,9 +377,10 @@ def _stepped_sum_tol(config: WalkConfig, n: int) -> float:
 
     The bound adds the initial coin's norm slack; the drift of the squared
     norm, at most the coin's unitarity defect plus 13 u per step; and the
-    rounding of the 2(2n + 1) squares and of their pairwise sum, 6 u plus
-    the sum's depth (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 3-4).  CHANGES.md has the derivation.
+    rounding of step k's 2(k + 1) squares and of their pairwise sum over at
+    most 2n + 1 window entries, 6 u plus the sum's depth (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 3-4).  CHANGES.md has the
+    derivation.
     """
     coin = config.coin_unitary
     defect = float(np.linalg.norm(coin.conj().T @ coin - np.eye(2))) + 8 * _UNIT_ROUNDOFF
@@ -459,9 +462,8 @@ def _sublattice_distribution(probs: np.ndarray, reach: int) -> SiteDistribution:
     error bound is rounding noise, and is stored as 0.
     """
     floor = _amplitude_error(reach) ** 2
-    values = np.zeros(2 * reach + 1)
-    values[::2] = np.where(np.abs(probs) < floor, 0.0, probs)[::-1]
-    return SiteDistribution((-reach, values))
+    kept = np.where(np.abs(probs) < floor, 0.0, probs)
+    return SiteDistribution((-reach, _parity_window(kept[::-1])))
 
 
 # -- CP-map evolution -------------------------------------------------------
@@ -483,7 +485,7 @@ def cp_apply(rho: DensityMatrix, kraus: Sequence[LaurentOperator]) -> DensityMat
     defect = total.distance(IDENTITY)
     if not defect <= COMPLETENESS_TOL:  # NaN too
         raise KrausCompletenessError(
-            f"Kraus completeness violated: residual {defect:.3e}"
+            f"Kraus completeness violated: residual {defect:.3e}", defect, COMPLETENESS_TOL
         )
     degrees = sorted({d for op in kraus for d in op.support})
     dmin = degrees[0]

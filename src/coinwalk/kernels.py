@@ -58,8 +58,10 @@ class RealKernel(FiniteSequence):
     def __init__(self, coeffs: Mapping[int, float] | tuple, kind: str | None = None):
         super().__init__(coeffs)
         if kind == "stochastic":
-            if np.count_nonzero(~(self.values >= -NONNEG_TOL)):  # NaN too
-                raise NumericalError("stochastic kernel has a negative coefficient")
+            negative = ~(self.values >= -NONNEG_TOL)  # NaN too
+            if np.count_nonzero(negative):
+                raise NumericalError("stochastic kernel has a negative coefficient",
+                                     -self.values[negative].min(), NONNEG_TOL)
             target = 1.0
         elif kind == "null-sum":
             target = 0.0
@@ -67,9 +69,10 @@ class RealKernel(FiniteSequence):
             raise ValueError(f"unknown kernel kind: {kind!r}")
         if kind is not None:
             total = self.coefficient_sum
-            bound = len(self) * _UNIT_ROUNDOFF * float(np.abs(self.values).sum())
-            if not abs(total - target) <= NORM_TOL + bound < math.inf:  # NaN, inf too
-                raise NumericalError(f"{kind} kernel sums to {total}, not {target:g}")
+            bound = NORM_TOL + len(self) * _UNIT_ROUNDOFF * float(np.abs(self.values).sum())
+            if not abs(total - target) <= bound < math.inf:  # NaN, inf too
+                raise NumericalError(f"{kind} kernel sums to {total}, not {target:g}",
+                                     abs(total - target), bound)
         self.kind = kind
 
     @classmethod
@@ -79,7 +82,7 @@ class RealKernel(FiniteSequence):
         if np.count_nonzero(imag):
             k = int(np.argmax(imag))
             raise NumericalError(f"coefficient at degree {op.lo + k} has imaginary part "
-                             f"{op.values.imag[k]}")
+                                 f"{op.values.imag[k]}", abs(op.values.imag[k]), REAL_TOL)
         return cls((op.lo, op.values.real), kind)
 
     @classmethod

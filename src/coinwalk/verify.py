@@ -9,8 +9,7 @@ divergences) and never fail a run.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import random
 
 from . import analysis, kernels
 from .engine import (
@@ -313,19 +312,16 @@ def suite_analysis(max_steps: int, tol: float | None = None) -> list[dict]:
     )
 
     # mixing monotonicity over randomized kernels and distributions
-    rng = np.random.default_rng(20260823)
+    rng = random.Random(20260823)
     failures = 0
     for _ in range(200):
-        width = int(rng.integers(2, 6))
-        coeffs = rng.random(width)
+        width = rng.randint(2, 5)
+        coeffs = [rng.random() for _ in range(width)]
         kernel = RealKernel(
-            {int(d) - width // 2: v / coeffs.sum() for d, v in enumerate(coeffs)},
-            "stochastic",
+            {d - width // 2: v / sum(coeffs) for d, v in enumerate(coeffs)}, "stochastic"
         )
-        probs = rng.random(int(rng.integers(2, 9)))
-        dist = SiteDistribution(
-            {int(s): v / probs.sum() for s, v in enumerate(probs)}
-        )
+        probs = [rng.random() for _ in range(rng.randint(2, 8))]
+        dist = SiteDistribution({s: v / sum(probs) for s, v in enumerate(probs)})
         if not _ordered([dist, kernel.apply_distribution(dist)]):
             failures += 1
     checks.append(
@@ -384,8 +380,11 @@ def run_suite(name: str, max_steps: int = 12, tol: float | None = None) -> dict:
         try:
             checks.extend(SUITES[suite](max_steps, tol))
         except NumericalError as exc:  # the suite's own checks are lost; the report is not
-            checks.append(_check(f"{suite}-numerical-failure", {"max_steps": max_steps},
-                                 1.0, 0.5, note=str(exc)))
+            record = _check(f"{suite}-numerical-failure", {"max_steps": max_steps},
+                            exc.value, exc.bound, note=str(exc))
+            # JSON has no NaN or infinity: a measured number that is not finite is null
+            checks.append({k: None if isinstance(v, float) and not math.isfinite(v) else v
+                           for k, v in record.items()})
     return {
         "suite": name,
         "max_steps": max_steps,

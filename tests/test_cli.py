@@ -6,11 +6,13 @@ import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from coinwalk import cli, verify
 from coinwalk.engine import NumericalError, SiteDistribution
+from coinwalk.kernels import RealKernel
 from coinwalk.verify import run_suite
 
 REPO = Path(__file__).resolve().parent.parent
@@ -761,7 +763,7 @@ class TestVerify:
     def test_numerical_failure_is_a_failing_check(self, tmp_path, monkeypatch, suite):
         # the report is still written, and the other suites still run
         def raising(max_steps, tol):
-            raise NumericalError("probabilities sum to 0.5, not 1")
+            raise NumericalError("probabilities sum to 0.5, not 1", 0.5, 1e-12)
 
         others = [c for name, fn in verify.SUITES.items() if suite == "all" and name != "memory"
                   for c in json.loads(json.dumps(fn(3, None)))]
@@ -771,12 +773,33 @@ class TestVerify:
         report = json.loads(path.read_text())
         failure = {
             "name": "memory-numerical-failure", "params": {"max_steps": 3},
-            "max_residual": 1.0, "tolerance": 0.5, "pass": False, "informational": False,
+            "max_residual": 0.5, "tolerance": 1e-12, "pass": False, "informational": False,
             "note": "probabilities sum to 0.5, not 1",
         }
         assert report["pass"] is False
         assert [c for c in report["checks"] if c != failure] == others
         assert report["checks"].count(failure) == 1
+
+    def test_numerical_failure_reports_what_it_measured(self, monkeypatch):
+        # a check that really fails: its measured value and bound are the record's
+        def failing(max_steps, tol):
+            return [SiteDistribution((0, np.array([0.5])))]
+
+        monkeypatch.setitem(verify.SUITES, "memory", failing)
+        [failure] = run_suite("memory", 3)["checks"]
+        assert (failure["max_residual"], failure["tolerance"]) == (0.5, 1e-12)
+        assert (failure["pass"], failure["note"]) == (False, "probabilities sum to 0.5, not 1")
+
+    def test_numerical_failure_of_a_nan_is_valid_json(self, monkeypatch):
+        # NaN fails the check; the report writes the number it cannot hold as null
+        def failing(max_steps, tol):
+            return [RealKernel((0, [0.5, math.nan, 0.5]), "stochastic")]
+
+        monkeypatch.setitem(verify.SUITES, "memory", failing)
+        report = run_suite("memory", 3)
+        json.dumps(report, allow_nan=False)
+        [failure] = report["checks"]
+        assert (failure["max_residual"], failure["tolerance"], failure["pass"]) == (None, 1e-12, False)
 
     def test_report_schema(self, capsys):
         _, out = run(["verify", "stochastic", "--max-steps", "6"], capsys)

@@ -52,6 +52,9 @@ MOMENTUM_CONFIGS = [
     *(WalkConfig(c=cd[0], d=cd[1], p=p) for p in P_GRID for cd in COIN_INITS),
     *(WalkConfig(c=cd[0], d=cd[1], coin=PHASED_COIN) for cd in COIN_INITS),
 ]
+#: The momentum-space coins and the basis coins p = 0 and p = 1.
+LAYOUT_CONFIGS = [*MOMENTUM_CONFIGS,
+                  *(WalkConfig(c=cd[0], d=cd[1], p=p) for p in (0.0, 1.0) for cd in COIN_INITS)]
 #: The coins whose walk is deterministic in each coin component.
 DEGENERATE_CONFIGS = [WalkConfig(c=cd[0], d=cd[1], p=p)
                       for p in (0.0, 1.0) for cd in (*COIN_INITS, (1.0, 0.0))]
@@ -65,6 +68,25 @@ def config_id(cfg):
 def stepped_distribution(cfg, n):
     """``global_trajectory(cfg, n)[-1]``, without holding the earlier steps."""
     return _last(_global_steps(cfg, n))
+
+
+def full_window_amplitudes(cfg, n):
+    """Joint amplitudes (coin, site + n) after steps 0..n on the whole 2n + 1-site window.
+
+    Each row is summed from fresh temporaries and the rows are stacked: the
+    layout the stepped walk used before it kept only the occupied sites.
+    """
+    u = cfg.coin_unitary
+    psi = np.zeros((2, 2 * n + 1), dtype=complex)
+    psi[:, n] = cfg.c, cfg.d
+    yield psi
+    for _ in range(n):
+        up = np.zeros(2 * n + 1, dtype=complex)
+        down = np.zeros(2 * n + 1, dtype=complex)
+        up[1:] = u[0, 0] * psi[0, :-1] + u[0, 1] * psi[1, :-1]
+        down[:-1] = u[1, 0] * psi[0, 1:] + u[1, 1] * psi[1, 1:]
+        psi = np.stack([up, down])
+        yield psi
 
 
 def random_unitary_config(seed):
@@ -300,21 +322,25 @@ class TestGlobalDistribution:
         WalkConfig(c=0.0, d=1.0, p=1.0 / 3.0),
         WalkConfig(c=0.6, d=0.8j, p=0.75),
         WalkConfig(c=SQ2, d=-SQ2, coin=PHASED_COIN),
+        WalkConfig(c=1.0, d=0.0, p=0.0),
+        WalkConfig(c=0.0, d=1.0, p=1.0),
     ])
     def test_amplitudes_match_stacked_rows_bitwise(self, cfg):
-        # reference: each row summed from fresh temporaries, then stacked;
-        # stepping through one scratch buffer must round the same
-        u = cfg.coin_unitary
+        # step k keeps the occupied sites -k, -k + 2, ..., k of the full window,
+        # each with its bits; the kept arrays are never written again
         n = 30
         kept = list(_global_amplitudes(cfg, n))
-        psi = kept[0]
-        for got in kept[1:]:
-            up = np.zeros(2 * n + 1, dtype=complex)
-            down = np.zeros(2 * n + 1, dtype=complex)
-            up[1:] = u[0, 0] * psi[0, :-1] + u[0, 1] * psi[1, :-1]
-            down[:-1] = u[1, 0] * psi[0, 1:] + u[1, 1] * psi[1, 1:]
-            psi = np.stack([up, down])
-            assert got.tobytes() == psi.tobytes()
+        for k, (got, ref) in enumerate(zip(kept, full_window_amplitudes(cfg, n), strict=True)):
+            assert got.shape == (2, k + 1)
+            assert got.tobytes() == ref[:, n - k : n + k + 1 : 2].tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 300])
+    @pytest.mark.parametrize("cfg", LAYOUT_CONFIGS, ids=config_id)
+    def test_steps_match_full_window_distributions_bitwise(self, cfg, n):
+        steps = zip(_global_steps(cfg, n), full_window_amplitudes(cfg, n), strict=True)
+        for got, ref in steps:
+            want = SiteDistribution((-n, np.abs(ref[0]) ** 2 + np.abs(ref[1]) ** 2), sum_tol=1e-9)
+            assert (got.lo, got.values.tobytes()) == (want.lo, want.values.tobytes())
 
 
 class TestCpDistribution:
@@ -584,6 +610,24 @@ class TestErrorKinds:
     def test_computed_value_checks(self, build, match):
         with pytest.raises(NumericalError, match=match):
             build()
+
+    @pytest.mark.parametrize("build,value,bound", [
+        (lambda: SiteDistribution({0: 0.5}), 0.5, 1e-12),
+        (lambda: SiteDistribution((0, np.array([0.5])), sum_tol=1e-9), 0.5, 1e-9),
+        (lambda: SiteDistribution({0: 1.1, 1: -0.1}), 0.1, 1e-12),
+        (lambda: from_entries({(0, 0): 1.0, (0, 2): 1j}), 1.0, 1e-12),
+        (lambda: DensityMatrix(np.zeros((3, 3)), 0), 1.0, 1e-12),
+        (lambda: DensityMatrix(np.diag([1.0 + 4e-12, -4e-12]), 0), 4e-12, 1e-12),
+        (lambda: cp_apply(DensityMatrix.delta(), [LaurentOperator({1: 0.5})]), 0.75, 1e-10),
+        (lambda: cp_apply(DensityMatrix.delta(), [LaurentOperator({0: 1.0, 2: math.nan})]),
+         math.nan, 1e-10),
+    ], ids=["sum", "sum-tol", "negative-probability", "hermiticity", "all-zero-trace",
+            "negative-diagonal", "kraus-completeness", "kraus-completeness-nan"])
+    def test_computed_value_checks_report_value_and_bound(self, build, value, bound):
+        with pytest.raises(NumericalError) as err:
+            build()
+        assert err.value.value == pytest.approx(value, nan_ok=True)
+        assert err.value.bound == bound
 
     @pytest.mark.parametrize("build,match", [
         (lambda: DensityMatrix(np.zeros((2, 3)), 0), "square"),

@@ -78,6 +78,17 @@ class TestRealKernel:
         with pytest.raises(NumericalError, match=match):
             build()
 
+    @pytest.mark.parametrize("build,value,bound", [
+        (lambda: RealKernel({0: 0.5}, "stochastic"), 0.5, 1e-12 + 2 ** -54),
+        (lambda: RealKernel({0: 1.5, 1: -0.5}, "stochastic"), 0.5, 1e-12),
+        (lambda: RealKernel({0: 0.5}, "null-sum"), 0.5, 1e-12 + 2 ** -54),
+        (lambda: RealKernel.from_laurent(LaurentOperator({2: 1.0, 3: 0.25j})), 0.25, 1e-12),
+    ], ids=["stochastic-sum", "negative", "null-sum", "imaginary"])
+    def test_computed_value_errors_carry_value_and_bound(self, build, value, bound):
+        with pytest.raises(NumericalError) as err:
+            build()
+        assert (err.value.value, err.value.bound) == (value, bound)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel kind") as err:
             RealKernel({0: 1.0}, "bistochastic")
