@@ -366,6 +366,8 @@ def main(argv=None) -> int:
         parser.error("trace period m must be at least 1")
     if getattr(args, "max_steps", 1) < 1:
         parser.error("max-steps must be at least 1")
+    if args.out == "":
+        parser.error("--out must name a file")
     try:
         code, pieces = args.func(args)
         _emit(args.out, pieces)

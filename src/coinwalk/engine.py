@@ -24,7 +24,8 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .laurent import IDENTITY, ZERO, CoinBlock, E_MINUS, E_PLUS, FiniteSequence, LaurentOperator
+from .laurent import (IDENTITY, CoinBlock, E_MINUS, E_PLUS, FiniteSequence, LaurentOperator,
+                      window_sum)
 
 #: Normalization slack of the initial coin state, |c|^2 + |d|^2 - 1.
 NORM_TOL = 1e-12
@@ -289,14 +290,7 @@ def _trim_window(mat: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
 
 def build_step_operator(config: WalkConfig) -> CoinBlock:
     """The one-step coin-walker unitary as a 2x2 block of shift operators."""
-    return _step_operator(config.coin_unitary)
-
-
-def _step_operator(u: np.ndarray) -> CoinBlock:
-    return CoinBlock(
-        ((u[0, 0] * E_PLUS, u[0, 1] * E_PLUS),
-         (u[1, 0] * E_MINUS, u[1, 1] * E_MINUS))
-    )
+    return _step_power(config.coin_unitary.tobytes(), 1)
 
 
 @memoised
@@ -322,9 +316,12 @@ def _step_power(coin: bytes, n: int) -> CoinBlock:
     block product ``CoinBlock.power`` ends with, so the blocks are
     bit-identical to it.  An evicted power is rebuilt the same way.
     """
-    if n <= 1:
+    if n == 0:
+        return CoinBlock.identity()
+    if n == 1:
         u = np.frombuffer(coin, dtype=complex).reshape(2, 2)
-        return _step_operator(u) if n else CoinBlock.identity()
+        return CoinBlock(((u[0, 0] * E_PLUS, u[0, 1] * E_PLUS),
+                          (u[1, 0] * E_MINUS, u[1, 1] * E_MINUS)))
     top = 1 << ((n - 1).bit_length() - 1)  # the largest power of two below n
     block = _step_power(coin, n - top) @ _step_power(coin, top)
     if block.max_degree() > n:
@@ -469,6 +466,12 @@ def _sublattice_distribution(probs: np.ndarray, reach: int) -> SiteDistribution:
 # -- CP-map evolution -------------------------------------------------------
 
 
+def completeness_defect(kraus: Sequence[LaurentOperator]) -> float:
+    """The largest coefficient of sum_j A_j^dagger A_j - 1, the products added in order."""
+    products = (op.adjoint() * op for op in kraus)
+    return LaurentOperator(window_sum((a.lo, a.values) for a in products)).distance(IDENTITY)
+
+
 def cp_apply(rho: DensityMatrix, kraus: Sequence[LaurentOperator]) -> DensityMatrix:
     """Apply the CP map with the given Kraus generators to a density matrix.
 
@@ -479,10 +482,7 @@ def cp_apply(rho: DensityMatrix, kraus: Sequence[LaurentOperator]) -> DensityMat
     it in the same order as on the full window, so every stored entry
     rounds as it would there.
     """
-    total = ZERO
-    for op in kraus:
-        total = total + op.adjoint() * op
-    defect = total.distance(IDENTITY)
+    defect = completeness_defect(kraus)
     if not defect <= COMPLETENESS_TOL:  # NaN too
         raise KrausCompletenessError(
             f"Kraus completeness violated: residual {defect:.3e}", defect, COMPLETENESS_TOL

@@ -15,8 +15,9 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .engine import (NORM_TOL, NumericalError, SiteDistribution, WalkConfig, _check_steps,
-                     _cp_steps, _global_steps, _last, _UNIT_ROUNDOFF, kraus_pair, memoised)
+from .engine import (NORM_TOL, NumericalError, SiteDistribution, WalkConfig, _check_cp_counts,
+                     _check_steps, _cp_steps, _global_steps, _last, _UNIT_ROUNDOFF, kraus_pair,
+                     memoised)
 from .laurent import TRIM_TOL, FiniteSequence, LaurentOperator, window_sum
 
 REAL_TOL = 1e-12
@@ -186,8 +187,7 @@ def delayed_kernel(config: WalkConfig, m: int = 2) -> RealKernel:
     Tracing the coin every m steps applies the m-step Kraus pair each
     period, so this is the m-step quantum kernel.
     """
-    if m < 1:
-        raise ValueError(f"trace period must be at least 1, got {m}")
+    _check_cp_counts(m, 0)
     return quantum_kernel(config, m)
 
 
@@ -226,13 +226,12 @@ def _prompt_kernel(config: WalkConfig) -> RealKernel:
     """The one-step kernel of the walk whose coin is traced after every step.
 
     Tracing every step restarts each step from the initial coin, so the walk
-    is the period-1 kernel walk.  The weights are taken as ``abs(a) ** 2``;
-    ``delayed_kernel(config, 1)`` forms re^2 + im^2, which rounds differently.
+    is the period-1 kernel walk.  The weights are the one-step Kraus moduli
+    taken as ``abs(a) ** 2``; ``delayed_kernel(config, 1)`` forms
+    re^2 + im^2, which rounds differently.
     """
-    u = config.coin_unitary
-    right = abs(u[0, 0] * config.c + u[0, 1] * config.d) ** 2
-    left = abs(u[1, 0] * config.c + u[1, 1] * config.d) ** 2
-    return RealKernel({-1: left, +1: right}, "stochastic")
+    a0, a1 = kraus_pair(config, 1)
+    return RealKernel({-1: abs(a1.coeff(-1)) ** 2, +1: abs(a0.coeff(+1)) ** 2}, "stochastic")
 
 
 def prompt_trajectory(config: WalkConfig, n: int) -> list[SiteDistribution]:
@@ -267,13 +266,7 @@ def binomial_solution(config: WalkConfig, n: int) -> SiteDistribution:
     """
     _check_steps(n)
     delta_c = classical_kernel(_require_bias(config))
-    phi = phi_matrix(config)
-    # one convolution per power; from the kindless unit kernel the classical
-    # powers carry no kind, so they skip the stochastic re-check
-    phi_powers, classical_powers = [RealKernel({0: 1.0})], [RealKernel({0: 1.0})]
-    for _ in range(n):
-        phi_powers.append(phi_powers[-1].convolve(phi))
-        classical_powers.append(classical_powers[-1].convolve(delta_c))
+    phi_powers, classical_powers = _powers(phi_matrix(config), n), _powers(delta_c, n)
     terms = (phi_powers[n - k].convolve(classical_powers[k]) for k in range(n + 1))
     scaled = [(t.lo, float(math.comb(n, k)) * t.values) for k, t in enumerate(terms)]
     lo, acc = window_sum(scaled)
@@ -295,8 +288,7 @@ def pseudo_memory_reconstruct(config: WalkConfig, n: int) -> SiteDistribution:
     """
     _check_steps(n)
     p = _require_bias(config)
-    a0, _ = kraus_pair(config, 1)
-    measured_right = abs(a0.coeff(+1)) ** 2
+    measured_right = _prompt_kernel(config).coeff(+1)
     if abs(measured_right - (1.0 - p)) > 1e-10:
         raise IncompatibleCoinError(measured_right, 1.0 - p)
     acc = _memory_sum(config, classical_kernel(p), n)
@@ -304,16 +296,23 @@ def pseudo_memory_reconstruct(config: WalkConfig, n: int) -> SiteDistribution:
     return SiteDistribution((acc.lo, clipped), sum_tol=1e-9)
 
 
-def _memory_sum(config: WalkConfig, delta_c: RealKernel, n: int) -> RealKernel:
-    """delta_c^n + sum_{i=2..n} Omega_i * delta_c^(n-i), trimmed but not clipped or validated.
+def _powers(kernel: RealKernel, n: int) -> list[RealKernel]:
+    """kernel^0, ..., kernel^n, one convolution each.
 
-    The classical powers start from the kindless unit kernel, so they skip
-    the stochastic re-check: the tails trimmed off each power add up to
-    1.8e-12 of the mass by n = 400, beyond that check's rounding bound.
+    They start from the kindless unit kernel, so they carry no kind and skip
+    the stochastic re-check: the tails trimmed off each power of a stochastic
+    kernel add up to 1.8e-12 of the mass by n = 400, beyond that check's
+    rounding bound.
     """
-    classical = [RealKernel({0: 1.0})]
+    powers = [RealKernel({0: 1.0})]
     for _ in range(n):
-        classical.append(delta_c.convolve(classical[-1]))
+        powers.append(powers[-1].convolve(kernel))
+    return powers
+
+
+def _memory_sum(config: WalkConfig, delta_c: RealKernel, n: int) -> RealKernel:
+    """delta_c^n + sum_{i=2..n} Omega_i * delta_c^(n-i), trimmed but not clipped or validated."""
+    classical = _powers(delta_c, n)
     terms = [classical[n]]
     terms += [reshuffling_matrix(config, i).convolve(classical[n - i]) for i in range(2, n + 1)]
     return RealKernel(window_sum((t.lo, t.values) for t in terms))

@@ -249,14 +249,14 @@ class CoinBlock:
         """Block power by binary exponentiation; n = 0 gives the identity block."""
         if n < 0:
             raise ValueError(f"negative block power: {n}")
-        result = None  # the identity block, never multiplied out
-        base = self
+        result, base = CoinBlock.identity(), self
         while n:
             if n & 1:
-                result = base if result is None else result @ base
-            base = base @ base if n > 1 else base
+                result = result @ base
             n >>= 1
-        return CoinBlock.identity() if result is None else result
+            if n:
+                base = base @ base
+        return result
 
     def max_degree(self) -> int:
         # trimmed ends are nonzero, so each entry's extreme degrees are its ends

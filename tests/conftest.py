@@ -6,6 +6,8 @@ never touch the package's Laurent or amplitude code paths, so agreement is
 a genuine cross-check.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,16 @@ PHASED_COIN = np.array([[1.0, 1j], [1j, 1.0]]) * np.exp(0.3j) / np.sqrt(2.0)
 @pytest.fixture
 def symmetric():
     return WalkConfig.symmetric()
+
+
+def random_unitary_config(seed) -> WalkConfig:
+    """A Haar-random unitary coin and a random complex initial coin state, from ``seed``."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    coin = q * (np.diag(r) / np.abs(np.diag(r)))
+    c, d = rng.normal(size=2) + 1j * rng.normal(size=2)
+    norm = math.hypot(abs(c), abs(d))
+    return WalkConfig(c=c / norm, d=d / norm, coin=coin)
 
 
 def dense_step_matrix(config: WalkConfig, size: int) -> np.ndarray:

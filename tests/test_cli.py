@@ -308,6 +308,18 @@ class TestSimulate:
         assert captured.err.endswith(f"coinwalk: error: {message}\n")
         assert captured.out == ""
 
+    def test_empty_out_is_argument_error(self, tmp_path, capsys, monkeypatch):
+        # "" once resolved to the working directory: a temporary file was
+        # made beside it, in the parent, and the rename over it failed
+        inner = tmp_path / "inner"
+        inner.mkdir()
+        monkeypatch.chdir(inner)
+        with pytest.raises(SystemExit) as err:
+            cli.main(["simulate", "--p", "0.5", "--steps", "1", "--out", ""])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith("coinwalk: error: --out must name a file\n")
+        assert os.listdir(tmp_path) == ["inner"] and os.listdir(inner) == []
+
     def test_unwritable_output_is_io_error(self, capsys):
         assert cli.main(["simulate", "--p", "0.5", "--steps", "1",
                          "--out", "/nonexistent-dir/x.csv"]) == 3

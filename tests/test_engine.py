@@ -40,6 +40,7 @@ from conftest import (
     dense_delayed_diagonals,
     dense_global_distribution,
     from_entries,
+    random_unitary_config,
     window_of,
 )
 
@@ -87,15 +88,6 @@ def full_window_amplitudes(cfg, n):
         down[:-1] = u[1, 0] * psi[0, 1:] + u[1, 1] * psi[1, 1:]
         psi = np.stack([up, down])
         yield psi
-
-
-def random_unitary_config(seed):
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    coin = q * (np.diag(r) / np.abs(np.diag(r)))
-    c, d = rng.normal(size=2) + 1j * rng.normal(size=2)
-    norm = math.hypot(abs(c), abs(d))
-    return WalkConfig(c=c / norm, d=d / norm, coin=coin)
 
 
 def assert_kraus_is_block_power(cfg, n, block):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coinwalk.analysis import Verdict, compare_majorization
 from coinwalk.engine import (
@@ -41,7 +42,7 @@ from coinwalk.kernels import (
 from coinwalk.laurent import IDENTITY, LaurentOperator
 from coinwalk.verify import run_suite
 
-from conftest import COIN_INITS, P_GRID, PHASED_COIN
+from conftest import COIN_INITS, P_GRID, PHASED_COIN, random_unitary_config
 
 
 class TestRealKernel:
@@ -408,6 +409,27 @@ class TestKernelSumTolerance:
         assert _kernel_sum_tol(kernel, 0) == _kernel_sum_tol(kernel, 14) == 1e-12
         assert _kernel_sum_tol(kernel, 10**5) < 1e-10
 
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2000, 4000), st.integers(1000, 3000))
+    def test_long_walks_of_general_coins_pass_their_sum_check(self, seed, n_prompt, n_kernel):
+        # a general unitary coin with a complex initial state: each walk
+        # finishes, and its last total stays within the kernel's bound
+        cfg = random_unitary_config(seed)
+        for scheme, m, n, kernel in [("prompt", 1, n_prompt, _prompt_kernel(cfg)),
+                                     *(("kernel", m, n_kernel, delayed_kernel(cfg, m))
+                                       for m in (2, 3))]:
+            last = _last(walk_steps(cfg, scheme, n, m))
+            assert abs(float(last.values.sum()) - 1.0) <= _kernel_sum_tol(kernel, n)
+
+
+def digest_of(sequences) -> str:
+    """sha256 over the sequences of ``repr(lo)`` and ``values.tobytes()``."""
+    digest = hashlib.sha256()
+    for seq in sequences:
+        digest.update(repr(seq.lo).encode())
+        digest.update(seq.values.tobytes())
+    return digest.hexdigest()
+
 
 #: sha256 over n = 0..21 of ``repr(lo)`` and ``values.tobytes()`` of
 #: ``binomial_solution(cfg, n)``, recorded from a build that raised each
@@ -418,6 +440,40 @@ BINOMIAL_SHA256 = {
     "c=0,d=1,p=0.5": "e2dd13784a48622d219bd8cf183b17c4c8ba344b329ca00a33c7195d37e6cc86",
     "symmetric,p=0.5": "11c8eafa28494e5693897c04604da7f1c5c07d61b00e5cfb5f10dcfe75b6da7f",
 }
+
+
+#: Digests of results built from the one-step weights, recorded when the
+#: prompt kernel was formed from the coin matrix instead of the Kraus pair.
+ONE_STEP_SHA256 = {
+    # prompt_trajectory, steps 0..60
+    "prompt phased": "1d0d9e3273dde65e78c2f79469009257ebf5de940917d3d8f5aab526fef6bda8",
+    "prompt random 3": "ff5d70fbe88abcdc5a5cc81c1db04db3a2e0f62163f7aeeef30a87b5f43d7fb5",
+    "prompt random 11": "a05b4a7cc1471b9c6edcbabf5d96e4a858bc2de0abfbbd30fa7574edd5938363",
+    # _prompt_kernel over the biases of P_GRID, 0 and 1, each with both COIN_INITS
+    "prompt kernels": "e45e3cd90cbf9c83a2bf34bfbb16881f5569d28714ea3ca878306ca789d098ba",
+    # pseudo_memory_reconstruct(cfg, 200): c=0,d=1 at each P_GRID bias, then symmetric at 1/2
+    "memory 200": "8fbb2a9f9919f100a70815efbf7c77fc6f2773634bd798c55e563054686e9158",
+}
+
+
+class TestOneStepWeights:
+    @pytest.mark.parametrize("key,cfg", [
+        ("prompt phased", WalkConfig(c=1 / math.sqrt(2), d=1j / math.sqrt(2), coin=PHASED_COIN)),
+        ("prompt random 3", random_unitary_config(3)),
+        ("prompt random 11", random_unitary_config(11)),
+    ])
+    def test_prompt_walks_of_general_coins_match_recorded_digests(self, key, cfg):
+        assert digest_of(prompt_trajectory(cfg, 60)) == ONE_STEP_SHA256[key]
+
+    def test_prompt_kernels_match_recorded_digest(self):
+        kernels = (_prompt_kernel(WalkConfig(c=c, d=d, p=p))
+                   for p in (*P_GRID, 0.0, 1.0) for c, d in COIN_INITS)
+        assert digest_of(kernels) == ONE_STEP_SHA256["prompt kernels"]
+
+    def test_reconstructions_match_recorded_digest(self):
+        cfgs = [*(WalkConfig(c=0.0, d=1.0, p=p) for p in P_GRID), WalkConfig.symmetric()]
+        got = digest_of(pseudo_memory_reconstruct(cfg, 200) for cfg in cfgs)
+        assert got == ONE_STEP_SHA256["memory 200"]
 
 
 class TestBinomialSolution:
@@ -449,12 +505,7 @@ class TestBinomialSolution:
         coin, p = key.split(",p=")
         p = float(p)
         cfg = WalkConfig.symmetric(p) if coin == "symmetric" else WalkConfig(c=0.0, d=1.0, p=p)
-        digest = hashlib.sha256()
-        for n in range(22):
-            dist = binomial_solution(cfg, n)
-            digest.update(repr(dist.lo).encode())
-            digest.update(dist.values.tobytes())
-        assert digest.hexdigest() == BINOMIAL_SHA256[key]
+        assert digest_of(binomial_solution(cfg, n) for n in range(22)) == BINOMIAL_SHA256[key]
 
 
 class TestPseudoMemory:
@@ -495,6 +546,7 @@ class TestPseudoMemory:
         with pytest.raises(IncompatibleCoinError) as err:
             pseudo_memory_reconstruct(cfg, 3)
         assert err.value.measured_right == pytest.approx(0.25, abs=1e-12)
+        assert err.value.measured_right == abs(kraus_pair(cfg, 1)[0].coeff(1)) ** 2
         assert err.value.expected_right == pytest.approx(0.75, abs=1e-12)
 
 
