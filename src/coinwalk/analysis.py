@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .engine import SiteDistribution
 
 PARTIAL_SUM_TOL = 1e-12
-DESCENT_TOL = 1e-12
 
 
 class Verdict(enum.Enum):
@@ -38,21 +37,6 @@ class LorenzCurve:
 
     fractions: np.ndarray  # n / N for n = 0..N
     gammas: np.ndarray  # partial sums, gamma_0 = 0, gamma_N = 1
-
-
-@dataclass(frozen=True)
-class EntropySeries:
-    """Summary of an entropy time series along a walk trajectory."""
-
-    entropies: np.ndarray
-    slope: float  # least-squares slope of entropy against step index
-    descents: tuple[int, ...]  # indices N with S(N+1) < S(N) beyond tolerance
-
-    @property
-    def mean_increase(self) -> float:
-        if len(self.entropies) < 2:
-            return 0.0
-        return float(self.entropies[-1] - self.entropies[0]) / (len(self.entropies) - 1)
 
 
 def shannon_entropy(dist: SiteDistribution) -> float:
@@ -143,19 +127,3 @@ def _crossings(diff: np.ndarray) -> tuple[int, ...]:
     changes = np.flatnonzero(np.diff(signs[signed]))
     return tuple(signed[changes + 1].tolist())
 
-
-def entropy_series(trajectory: Sequence[SiteDistribution]) -> EntropySeries:
-    """Entropies along a trajectory with their slope and descents."""
-    if not trajectory:
-        raise ValueError("trajectory must be nonempty")
-    entropies = np.array([shannon_entropy(d) for d in trajectory])
-    if entropies.size > 1:
-        slope = float(np.polyfit(np.arange(entropies.size), entropies, 1)[0])
-    else:
-        slope = 0.0
-    descents = tuple(
-        int(i)
-        for i in range(entropies.size - 1)
-        if entropies[i + 1] < entropies[i] - DESCENT_TOL
-    )
-    return EntropySeries(entropies, slope, descents)

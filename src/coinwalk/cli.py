@@ -92,7 +92,9 @@ def _float_list(text: str) -> list[float]:
 
 
 def build_config(args) -> WalkConfig:
-    if getattr(args, "symmetric", False):
+    # ``figure lorenz`` has no --symmetric: it starts from the symmetric coin
+    # unless --coin is given
+    if getattr(args, "symmetric", args.coin is None):
         return WalkConfig.symmetric(args.p if args.p is not None else 0.5)
     if args.p is None:
         raise ValueError("--p is required unless --symmetric is given")
@@ -123,7 +125,10 @@ def _emit(path: str | None, pieces: Iterable[str]) -> None:
                 return shutil.copyfileobj(spool, sys.stdout)
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 return shutil.copyfileobj(spool, fh)
-    path = os.path.realpath(path)
+    if os.path.islink(path):
+        # only a symlink is resolved: realpath would also collapse ".", ".."
+        # and a trailing "/" and so write to a path that open() rejects
+        path = os.path.realpath(path)
     # not mkstemp (mode 0o600): open() gives it the mode a new path gets, 0o666 & ~umask
     temp = f"{path}.{os.urandom(6).hex()}.tmp"
     fh = open(temp, "x", encoding="utf-8", newline="")
@@ -256,11 +261,7 @@ def cmd_memory_diagram(args) -> tuple[int, Iterable[str]]:
 
 
 def cmd_lorenz_figure(args) -> tuple[int, Iterable[str]]:
-    if args.coin is not None:
-        config = WalkConfig(c=args.coin[0], d=args.coin[1], p=args.p)
-    else:
-        config = WalkConfig.symmetric(args.p)
-    series = lorenz_figure_series(config, args.steps, args.scheme, args.m)
+    series = lorenz_figure_series(build_config(args), args.steps, args.scheme, args.m)
     chart = svgplot.line_chart(series, title="Lorenz curves of successive walk distributions",
                                xlabel="fraction of slots", ylabel="cumulative probability")
     return 0, [chart]

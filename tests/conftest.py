@@ -34,6 +34,11 @@ def random_unitary_config(seed) -> WalkConfig:
     return WalkConfig(c=c / norm, d=d / norm, coin=coin)
 
 
+def entropy_descents(entropies) -> list[int]:
+    """The steps N whose entropy S(N+1) falls below S(N) by more than 1e-12."""
+    return [n for n in range(len(entropies) - 1) if entropies[n + 1] < entropies[n] - 1e-12]
+
+
 def dense_step_matrix(config: WalkConfig, size: int) -> np.ndarray:
     """The one-step unitary on coin (x) sites as a dense (2*size, 2*size) array."""
     u = config.coin_unitary

@@ -9,7 +9,6 @@ from coinwalk.analysis import (
     Verdict,
     _crossings,
     compare_majorization,
-    entropy_series,
     lorenz_curve,
     majorization_chain,
     moment,
@@ -18,6 +17,8 @@ from coinwalk.analysis import (
 )
 from coinwalk.engine import SiteDistribution, WalkConfig, global_trajectory
 from coinwalk.kernels import RealKernel, prompt_trajectory
+
+from conftest import entropy_descents
 
 
 def uniform(n, offset=0):
@@ -266,42 +267,25 @@ class TestSchurConcavity:
             assert verdict.relation in (Verdict.FIRST_MAJORIZES, Verdict.EQUAL)
 
 
-class TestEntropySeries:
+class TestEntropyDynamics:
     def test_classical_no_descents(self):
         trajectory = prompt_trajectory(WalkConfig(c=0.0, d=1.0, p=0.5), 30)
-        series = entropy_series(trajectory)
-        assert series.descents == ()
-        assert series.slope > 0
+        entropies = [shannon_entropy(d) for d in trajectory]
+        assert entropy_descents(entropies) == []
+        assert entropies[-1] > entropies[0]
 
     def test_quantum_checkpoint_values(self, symmetric):
         trajectory = global_trajectory(symmetric, 9)
-        series = entropy_series(trajectory)
-        assert np.allclose(
-            series.entropies[6:10], [1.6551, 1.8138, 1.8909, 1.9295], atol=5e-4
-        )
-        assert np.all(np.diff(series.entropies[6:10]) > 0)
-
-    def test_constant_trajectory(self):
-        series = entropy_series([SiteDistribution.delta()] * 5)
-        assert series.slope == pytest.approx(0.0, abs=1e-15)
-        assert series.descents == ()
-
-    def test_single_distribution(self):
-        series = entropy_series([SiteDistribution.delta()])
-        assert series.entropies.tolist() == [0.0]
-        assert series.slope == 0.0 and series.mean_increase == 0.0
-        assert series.descents == ()
+        entropies = np.array([shannon_entropy(d) for d in trajectory[6:10]])
+        assert np.allclose(entropies, [1.6551, 1.8138, 1.8909, 1.9295], atol=5e-4)
+        assert np.all(np.diff(entropies) > 0)
 
     def test_quantum_exhibits_descents_at_scale(self):
         for p in (1.0 / 3.0, 0.5, 0.75):
             trajectory = global_trajectory(WalkConfig.symmetric(p), 100)
-            series = entropy_series(trajectory)
-            assert series.slope > 0
-            assert len(series.descents) >= 1
-
-    def test_empty_trajectory_rejected(self):
-        with pytest.raises(ValueError):
-            entropy_series([])
+            entropies = [shannon_entropy(d) for d in trajectory]
+            assert entropies[-1] > entropies[0]
+            assert len(entropy_descents(entropies)) >= 1
 
 
 class TestStandardDeviation:

@@ -324,6 +324,17 @@ class TestSimulate:
         assert cli.main(["simulate", "--p", "0.5", "--steps", "1",
                          "--out", "/nonexistent-dir/x.csv"]) == 3
 
+    @pytest.mark.parametrize("out", ["newdir/", "newdir/.", "gone/../x.csv", "f.csv/"])
+    def test_out_that_open_rejects_is_io_error(self, tmp_path, capsys, monkeypatch, out):
+        # each names no file open() could write, so none may be rewritten
+        # to the file beside it that its text collapses to
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.csv").write_text("kept\n")
+        assert cli.main(["simulate", "--p", "0.5", "--steps", "1", "--out", out]) == 3
+        assert "error: cannot write output: " in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["f.csv"]
+        assert (tmp_path / "f.csv").read_text() == "kept\n"
+
 
 class TestHandlers:
     @pytest.mark.parametrize("handler,argv,want", [
@@ -445,6 +456,10 @@ class TestWrite:
         cli._emit(str(tmp_path / "link"), ["a\n", "b\n"])
         assert (tmp_path / "link").is_symlink()
         assert (tmp_path / "target").read_text() == "a\nb\n"
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "linkdir").symlink_to(tmp_path / "dir")
+        cli._emit(str(tmp_path / "linkdir" / "o.csv"), ["c\n"])
+        assert (tmp_path / "dir" / "o.csv").read_text() == "c\n"
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
         reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)

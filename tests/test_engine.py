@@ -11,6 +11,7 @@ from coinwalk.engine import (
     NumericalError,
     SiteDistribution,
     WalkConfig,
+    _cp_steps,
     _global_amplitudes,
     _global_steps,
     _last,
@@ -354,6 +355,21 @@ class TestCpDistribution:
     def test_random_unitary_coins_agree_with_cp_walk(self, seed, m, n):
         cfg = random_unitary_config(seed)
         want = cp_walk(cfg, m, n)[-1].diagonal()
+        assert cp_distribution(cfg, m, n).distance(want) < 1e-12
+
+    @settings(max_examples=5, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 5).flatmap(
+            lambda m: st.tuples(st.just(m), st.integers(-(-200 // m), 400 // m))
+        ),
+    )
+    def test_random_unitary_coins_agree_with_cp_walk_at_scale(self, seed, m_n):
+        # 200..400 coin steps; only the last density matrix is held (cp_walk's
+        # whole list at 400 steps peaks near 400 MB)
+        m, n = m_n
+        cfg = random_unitary_config(seed)
+        want = _last(_cp_steps(cfg, m, n)).diagonal()
         assert cp_distribution(cfg, m, n).distance(want) < 1e-12
 
     def test_total_at_two_thousand_iterations(self, symmetric):
