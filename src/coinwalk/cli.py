@@ -125,18 +125,22 @@ def _emit(path: str | None, pieces: Iterable[str]) -> None:
                 return shutil.copyfileobj(spool, sys.stdout)
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 return shutil.copyfileobj(spool, fh)
+    target = path
     if os.path.islink(path):
         # only a symlink is resolved: realpath would also collapse ".", ".."
         # and a trailing "/" and so write to a path that open() rejects
-        path = os.path.realpath(path)
+        target = os.path.realpath(path)
     # not mkstemp (mode 0o600): open() gives it the mode a new path gets, 0o666 & ~umask
-    temp = f"{path}.{os.urandom(6).hex()}.tmp"
-    fh = open(temp, "x", encoding="utf-8", newline="")
+    temp = f"{target}.{os.urandom(6).hex()}.tmp"
+    try:
+        fh = open(temp, "x", encoding="utf-8", newline="")
+    except OSError as exc:  # name the path given, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
             for text in pieces:
                 _write(fh, text)
-        os.replace(temp, path)
+        os.replace(temp, target)
     except BaseException:
         os.unlink(temp)
         raise

@@ -324,14 +324,18 @@ class TestSimulate:
         assert cli.main(["simulate", "--p", "0.5", "--steps", "1",
                          "--out", "/nonexistent-dir/x.csv"]) == 3
 
-    @pytest.mark.parametrize("out", ["newdir/", "newdir/.", "gone/../x.csv", "f.csv/"])
+    @pytest.mark.parametrize("out", ["newdir/", "newdir/.", "gone/../x.csv", "f.csv/",
+                                     "/nonexistent-dir/x.csv"])
     def test_out_that_open_rejects_is_io_error(self, tmp_path, capsys, monkeypatch, out):
         # each names no file open() could write, so none may be rewritten
-        # to the file beside it that its text collapses to
+        # to the file beside it that its text collapses to; the error names
+        # the path given, not the temporary file beside it
         monkeypatch.chdir(tmp_path)
         (tmp_path / "f.csv").write_text("kept\n")
         assert cli.main(["simulate", "--p", "0.5", "--steps", "1", "--out", out]) == 3
-        assert "error: cannot write output: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ")
+        assert err.endswith(f": {out!r}\n") and ".tmp" not in err
         assert os.listdir(tmp_path) == ["f.csv"]
         assert (tmp_path / "f.csv").read_text() == "kept\n"
 
@@ -752,15 +756,25 @@ class TestVerify:
         cli.main(["verify", suite, "--max-steps", steps, "--out", str(path)])
         assert hashlib.sha256(path.read_bytes()).hexdigest() == recorded[key]
 
-    @pytest.mark.parametrize("suite,steps,digest", [
-        ("analysis", "1", "3932230c40c0abc4724851a8f9f2f5d09efd67d71c9ff546d1e160e07b2bbb4a"),
-        ("all", "3", "356fa0a998d4e470d1ea1024a61f306b371481262b42e0a06c77a193db2ee972"),
+    @pytest.mark.parametrize("args,code,digest", [
+        ("analysis --max-steps 1", 0,
+         "3932230c40c0abc4724851a8f9f2f5d09efd67d71c9ff546d1e160e07b2bbb4a"),
+        ("all --max-steps 3", 0,
+         "356fa0a998d4e470d1ea1024a61f306b371481262b42e0a06c77a193db2ee972"),
+        ("all --max-steps 6 --tol 1e-14", 0,
+         "12a4a4dfea64a4feb50983b04ec0915fcfbe82254261db242ddeb717d33ffa4a"),
+        ("all --max-steps 6 --tol 1e-8", 0,
+         "f5e9e15559210f2418ae973b95b44ab4b2edbf17496e15508b746a75a411cb8b"),
+        ("prop2 --max-steps 16", 1,
+         "9e957905a937f11062bddcb0cedf69380eb13f9bdee2f67c977ef248bf233a24"),
     ])
-    def test_short_horizon_reports_match_recorded_digests(self, tmp_path, suite, steps, digest):
+    def test_short_horizon_reports_match_recorded_digests(self, tmp_path, args, code, digest):
         # below the step-6..9 checkpoints the chains are shorter than the
-        # checkpoint windows
+        # checkpoint windows; a --tol override reaches every suite but
+        # analysis's fixed-tolerance checks; prop2 at 16 steps fails on the
+        # binomial solution's float sum
         path = tmp_path / "report.json"
-        assert cli.main(["verify", suite, "--max-steps", steps, "--out", str(path)]) == 0
+        assert cli.main(["verify", *args.split(), "--out", str(path)]) == code
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_bad_suite_is_argument_error(self):
