@@ -4,7 +4,7 @@ Three tracing schemes are supported:
 
 * global  -- the coin is traced once, after all steps; distributions come
   from a single completely positive map with two Kraus generators,
-  ``global_trajectory`` evolves the joint amplitudes directly, and
+  ``walk_steps`` steps the joint amplitudes (``_global_steps``), and
   ``global_distribution`` answers one step in momentum space.
 * delayed -- the coin is traced every m steps; ``cp_walk`` iterates a fixed
   CP map whose Kraus generators are those of an m-step global walk, and
@@ -12,7 +12,7 @@ Three tracing schemes are supported:
 * prompt  -- the coin is traced after every step; the walk is a biased
   classical random walk and distributions are binomial.  It is the
   period-1 kernel walk, so it lives in :mod:`coinwalk.kernels`
-  (``prompt_trajectory``, ``prompt_distribution``).
+  (``walk_steps``, ``prompt_distribution``).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class KrausCompletenessError(NumericalError):
     """Raised when a proposed Kraus family fails the completeness relation."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WalkConfig:
     """Coin parameters and initial coin state for a walk started at the origin.
 
@@ -64,10 +64,11 @@ class WalkConfig:
     alike, so the memoised constructions share their entries.
     """
 
-    c: complex
-    d: complex
-    p: float | None = None
-    coin: np.ndarray | None = field(default=None, repr=False)
+    c: complex = field(compare=False)
+    d: complex = field(compare=False)
+    p: float | None = field(default=None, compare=False)
+    coin: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if (self.p is None) == (self.coin is None):
@@ -96,14 +97,6 @@ class WalkConfig:
         exact = [(type(v), np.asarray(v).tobytes()) for v in (self.c, self.d, self.p)
                  if v is not None]
         object.__setattr__(self, "_key", (u.tobytes(), *exact))
-
-    def __eq__(self, other):
-        if not isinstance(other, WalkConfig):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
 
     @classmethod
     def symmetric(cls, p: float = 0.5) -> "WalkConfig":
@@ -180,8 +173,8 @@ class SiteDistribution(FiniteSequence):
         return not probs or (probs[0] > 0.0 and probs[-1] > 0.0 and all(positive))
 
     @classmethod
-    def delta(cls, site: int = 0) -> "SiteDistribution":
-        return cls({site: 1.0})
+    def delta(cls) -> "SiteDistribution":
+        return cls({0: 1.0})
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         nonzero = np.flatnonzero(self.values)
@@ -233,8 +226,8 @@ class DensityMatrix:
         self._lo = int(lo)
 
     @classmethod
-    def delta(cls, site: int = 0) -> "DensityMatrix":
-        return cls(np.array([[1.0 + 0j]]), site)
+    def delta(cls) -> "DensityMatrix":
+        return cls(np.array([[1.0 + 0j]]), 0)
 
     @property
     def site_range(self) -> tuple[int, int]:
@@ -332,17 +325,12 @@ def _step_power(coin: bytes, n: int) -> CoinBlock:
 # -- distributions ----------------------------------------------------------
 
 
-def global_trajectory(config: WalkConfig, n: int) -> list[SiteDistribution]:
-    """Site distributions of the globally traced walk for steps 0..n.
+def _global_steps(config: WalkConfig, n: int) -> Iterator[SiteDistribution]:
+    """The global walk's distributions after steps 0..n, read by ``walk_steps``.
 
     Computed by direct evolution of the joint coin-walker amplitudes, a
     deliberately different code path from the Laurent-coefficient kernels.
     """
-    return list(_global_steps(config, n))
-
-
-def _global_steps(config: WalkConfig, n: int) -> Iterator[SiteDistribution]:
-    """The distributions of :func:`global_trajectory`, one at a time."""
     sum_tol = _stepped_sum_tol(config, n)
     return (SiteDistribution((-k, _parity_window((np.abs(psi) ** 2).sum(axis=0))), sum_tol=sum_tol)
             for k, psi in enumerate(_global_amplitudes(config, n)))
@@ -398,7 +386,7 @@ def global_distribution(config: WalkConfig, n: int) -> SiteDistribution:
     """Distribution after n steps with a single final trace of the coin.
 
     Evaluated in momentum space: one inverse FFT of the n-step symbol on the
-    n + 1 sites of the parity sublattice.  :func:`global_trajectory` steps
+    n + 1 sites of the parity sublattice.  :func:`_global_steps` steps
     the same walk in position space and is the cross-check.
     """
     _check_steps(n)
@@ -521,7 +509,7 @@ def _cp_steps(config: WalkConfig, m: int, n_iterations: int) -> Iterator[Density
     """The density matrices of :func:`cp_walk`, holding only the current one."""
     _check_cp_counts(m, n_iterations)
     kraus = kraus_pair(config, m)
-    rho = DensityMatrix.delta(0)
+    rho = DensityMatrix.delta()
     yield rho
     for _ in range(n_iterations):
         rho = cp_apply(rho, kraus)
@@ -576,6 +564,7 @@ def cp_distribution(config: WalkConfig, m: int, n_iterations: int) -> SiteDistri
             if k:
                 base *= base
         spectrum[start:stop] = power.mean(axis=1)
-    spectrum[0] = 1.0  # the trace: M(k, k) is 1 up to rounding, which the n-th power multiplies by n
+    # the trace: M(k, k) is 1 up to rounding, which the n-th power multiplies by n
+    spectrum[0] = 1.0
     probs = np.fft.irfft(spectrum, size)
     return _sublattice_distribution(probs, n_iterations * m)

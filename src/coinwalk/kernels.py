@@ -5,7 +5,8 @@ supported real sequence on Z -- the same ``(lo, values)`` core as the complex
 operators in :mod:`coinwalk.laurent` and the site distributions it acts on.
 Applying a kernel to a distribution is their convolution.  For such a kernel
 the row sums, column sums, and plain coefficient sum coincide, which makes
-double stochasticity a one-line check.
+double stochasticity a one-line check.  :func:`walk_steps` is the one reader
+of the step-0..n distributions of every tracing scheme's walk.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ def _kernel_steps(kernel: RealKernel, n: int) -> Iterator[SiteDistribution]:
     if kernel.kind != "stochastic":
         raise ValueError("kernel walk requires a stochastic kernel")
     sum_tol = _kernel_sum_tol(kernel, n)
-    current = SiteDistribution.delta(0)
+    current = SiteDistribution.delta()
     yield current
     for _ in range(n):
         current = SiteDistribution(kernel._shifted_sum(current), sum_tol=sum_tol)
@@ -232,11 +233,6 @@ def _prompt_kernel(config: WalkConfig) -> RealKernel:
     """
     a0, a1 = kraus_pair(config, 1)
     return RealKernel({-1: abs(a1.coeff(-1)) ** 2, +1: abs(a0.coeff(+1)) ** 2}, "stochastic")
-
-
-def prompt_trajectory(config: WalkConfig, n: int) -> list[SiteDistribution]:
-    """Distributions of the promptly traced walk for steps 0..n."""
-    return list(walk_steps(config, "prompt", n))
 
 
 def prompt_distribution(config: WalkConfig, n: int) -> SiteDistribution:

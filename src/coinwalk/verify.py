@@ -32,7 +32,7 @@ from .laurent import LaurentOperator
 P_GRID = (0.25, 1.0 / 3.0, 0.5, 0.75)
 COIN_INITS = {
     "c=0,d=1": (0.0, 1.0),
-    "symmetric": (1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)),
+    "symmetric": (WalkConfig.symmetric().c, WalkConfig.symmetric().d),
 }
 
 

@@ -20,7 +20,6 @@ from coinwalk.engine import (
     SiteDistribution,
     WalkConfig,
     cp_walk,
-    global_trajectory,
     kraus_pair,
 )
 from coinwalk.kernels import (
@@ -31,10 +30,10 @@ from coinwalk.kernels import (
     kernel_walk,
     mixing_matrix,
     phi_matrix,
-    prompt_trajectory,
     pseudo_memory_reconstruct,
     quantum_kernel,
     reshuffling_matrix,
+    walk_steps,
 )
 from coinwalk.laurent import IDENTITY
 
@@ -101,7 +100,7 @@ def test_criterion_04_pseudo_memory():
     configs = [SYMMETRIC] + [WalkConfig(c=0.0, d=1.0, p=p) for p in P_GRID]
     worst = 0.0
     for cfg in configs:
-        trajectory = global_trajectory(cfg, 12)
+        trajectory = list(walk_steps(cfg, "global", 12))
         for n in range(1, 13):
             worst = max(
                 worst, pseudo_memory_reconstruct(cfg, n).distance(trajectory[n])
@@ -110,7 +109,7 @@ def test_criterion_04_pseudo_memory():
 
 
 def test_criterion_05_small_step_distributions():
-    trajectory = global_trajectory(SYMMETRIC, 6)
+    trajectory = list(walk_steps(SYMMETRIC, "global", 6))
     moments = [moment(trajectory[n], 2) for n in range(1, 6)]
     ok = np.allclose(moments, [1, 2, 3, 5, 8], atol=1e-12)
     want6 = {6: 1 / 64, 4: 18 / 64, 2: 9 / 64, 0: 8 / 64,
@@ -121,7 +120,7 @@ def test_criterion_05_small_step_distributions():
 
 
 def test_criterion_06_entropy_checkpoints():
-    trajectory = global_trajectory(SYMMETRIC, 9)
+    trajectory = list(walk_steps(SYMMETRIC, "global", 9))
     got = [shannon_entropy(trajectory[n]) for n in range(6, 10)]
     want = [1.6551, 1.8138, 1.8909, 1.9295]
     worst = max(abs(a - b) for a, b in zip(got, want))
@@ -129,7 +128,7 @@ def test_criterion_06_entropy_checkpoints():
 
 
 def test_criterion_07_majorization_breakdown():
-    trajectory = global_trajectory(SYMMETRIC, 9)
+    trajectory = list(walk_steps(SYMMETRIC, "global", 9))
     verdicts = [
         compare_majorization(trajectory[n], trajectory[n + 1]) for n in range(6, 9)
     ]
@@ -147,7 +146,7 @@ def test_criterion_08_classical_chain():
     worst = 0.0
     for p in (0.25, 0.5):
         cfg = WalkConfig(c=0.0, d=1.0, p=p)
-        trajectory = prompt_trajectory(cfg, 30)
+        trajectory = list(walk_steps(cfg, "prompt", 30))
         for n in range(30):
             verdict = compare_majorization(trajectory[n], trajectory[n + 1])
             ok &= verdict.relation in (Verdict.FIRST_MAJORIZES, Verdict.EQUAL)
@@ -193,7 +192,7 @@ def test_criterion_12_asymptotic_rate():
     import time
 
     start = time.perf_counter()
-    sigma = standard_deviation(global_trajectory(SYMMETRIC, 200)[-1])
+    sigma = standard_deviation(list(walk_steps(SYMMETRIC, "global", 200))[-1])
     elapsed = time.perf_counter() - start
     ratio = sigma / (200 * math.sqrt((2 - math.sqrt(2)) / 2))
     report(12, 0.95 <= ratio <= 1.05 and elapsed < 5.0,
@@ -204,9 +203,9 @@ def test_criterion_13_entropy_dynamics_at_scale():
     ok = True
     details = []
     for p in (1.0 / 3.0, 0.5, 0.75):
-        quantum = [shannon_entropy(d) for d in global_trajectory(WalkConfig.symmetric(p), 100)]
+        quantum = [shannon_entropy(d) for d in walk_steps(WalkConfig.symmetric(p), "global", 100)]
         classical = [
-            shannon_entropy(d) for d in prompt_trajectory(WalkConfig(c=0.0, d=1.0, p=p), 100)
+            shannon_entropy(d) for d in walk_steps(WalkConfig(c=0.0, d=1.0, p=p), "prompt", 100)
         ]
         descents = entropy_descents(quantum)
         ok &= quantum[-1] > quantum[0]
@@ -218,7 +217,7 @@ def test_criterion_13_entropy_dynamics_at_scale():
     published = np.array([3.3498, 3.3467, 3.3408])
     matches = []
     for p in P_GRID:
-        walk = global_trajectory(WalkConfig.symmetric(p), 51)
+        walk = list(walk_steps(WalkConfig.symmetric(p), "global", 51))
         values = np.array(
             [shannon_entropy(walk[n]) for n in (49, 50, 51)]
         )
@@ -233,7 +232,7 @@ def test_criterion_14_property_suites():
     ok = True
 
     # Schur-concavity consistency and verdict/crossing duality
-    pool = global_trajectory(SYMMETRIC, 12) + prompt_trajectory(SYMMETRIC, 12)
+    pool = list(walk_steps(SYMMETRIC, "global", 12)) + list(walk_steps(SYMMETRIC, "prompt", 12))
     for a in pool:
         for b in pool:
             verdict = compare_majorization(a, b)

@@ -15,8 +15,8 @@ from coinwalk.analysis import (
     shannon_entropy,
     standard_deviation,
 )
-from coinwalk.engine import SiteDistribution, WalkConfig, global_trajectory
-from coinwalk.kernels import RealKernel, prompt_trajectory
+from coinwalk.engine import SiteDistribution, WalkConfig
+from coinwalk.kernels import RealKernel, walk_steps
 
 from conftest import entropy_descents
 
@@ -49,16 +49,16 @@ class TestMoment:
         assert moment(uniform(5), 0) == pytest.approx(1.0)
 
     def test_symmetric_first_moments_vanish(self, symmetric):
-        for dist in global_trajectory(symmetric, 20):
+        for dist in walk_steps(symmetric, "global", 20):
             assert moment(dist, 1) == pytest.approx(0.0, abs=1e-12)
 
     def test_classical_variance_is_step_count(self):
         cfg = WalkConfig(c=0.0, d=1.0, p=0.5)
-        for n, dist in enumerate(prompt_trajectory(cfg, 20)):
+        for n, dist in enumerate(walk_steps(cfg, "prompt", 20)):
             assert moment(dist, 2) == pytest.approx(n, abs=1e-10)
 
     def test_quantum_second_moments_first_five(self, symmetric):
-        trajectory = global_trajectory(symmetric, 5)
+        trajectory = list(walk_steps(symmetric, "global", 5))
         got = [moment(trajectory[n], 2) for n in range(1, 6)]
         assert np.allclose(got, [1, 2, 3, 5, 8], atol=1e-12)
 
@@ -175,7 +175,7 @@ class TestMajorizationChain:
         assert (verdict.relation, verdict.crossings) == zero_padded_verdict(p, q)
 
     def test_global_walk_chain(self, symmetric):
-        trajectory = global_trajectory(symmetric, 40)
+        trajectory = list(walk_steps(symmetric, "global", 40))
         chain = majorization_chain(iter(trajectory))
         assert chain == [compare_majorization(a, b) for a, b in zip(trajectory, trajectory[1:])]
 
@@ -207,13 +207,13 @@ class TestCompareMajorization:
 
     @pytest.mark.parametrize("p", [0.25, 0.5])
     def test_classical_chain(self, p):
-        trajectory = prompt_trajectory(WalkConfig(c=0.0, d=1.0, p=p), 30)
+        trajectory = list(walk_steps(WalkConfig(c=0.0, d=1.0, p=p), "prompt", 30))
         for j in range(30):
             verdict = compare_majorization(trajectory[j], trajectory[j + 1])
             assert verdict.relation in (Verdict.FIRST_MAJORIZES, Verdict.EQUAL)
 
     def test_quantum_breakdown_window(self, symmetric):
-        trajectory = global_trajectory(symmetric, 9)
+        trajectory = list(walk_steps(symmetric, "global", 9))
         verdicts = [
             compare_majorization(trajectory[n], trajectory[n + 1])
             for n in range(6, 9)
@@ -223,7 +223,7 @@ class TestCompareMajorization:
         )
 
     def test_crossing_duality(self, symmetric):
-        trajectory = global_trajectory(symmetric, 12)
+        trajectory = list(walk_steps(symmetric, "global", 12))
         for a in range(13):
             for b in range(a + 1, 13):
                 verdict = compare_majorization(trajectory[a], trajectory[b])
@@ -233,7 +233,7 @@ class TestCompareMajorization:
 
     def test_parity_zeros_do_not_change_verdicts(self, symmetric):
         # structural zero sites only pad the Lorenz curve with flat segments
-        trajectory = global_trajectory(symmetric, 9)
+        trajectory = list(walk_steps(symmetric, "global", 9))
         for n in range(6, 9):
             plain = compare_majorization(trajectory[n], trajectory[n + 1])
             a = dict(trajectory[n].items())
@@ -246,7 +246,7 @@ class TestCompareMajorization:
 
 class TestSchurConcavity:
     def test_majorization_implies_entropy_order(self, symmetric):
-        pool = global_trajectory(symmetric, 15) + prompt_trajectory(symmetric, 15)
+        pool = list(walk_steps(symmetric, "global", 15)) + list(walk_steps(symmetric, "prompt", 15))
         for a in pool:
             for b in pool:
                 if compare_majorization(a, b).relation is Verdict.FIRST_MAJORIZES:
@@ -269,20 +269,20 @@ class TestSchurConcavity:
 
 class TestEntropyDynamics:
     def test_classical_no_descents(self):
-        trajectory = prompt_trajectory(WalkConfig(c=0.0, d=1.0, p=0.5), 30)
+        trajectory = list(walk_steps(WalkConfig(c=0.0, d=1.0, p=0.5), "prompt", 30))
         entropies = [shannon_entropy(d) for d in trajectory]
         assert entropy_descents(entropies) == []
         assert entropies[-1] > entropies[0]
 
     def test_quantum_checkpoint_values(self, symmetric):
-        trajectory = global_trajectory(symmetric, 9)
+        trajectory = list(walk_steps(symmetric, "global", 9))
         entropies = np.array([shannon_entropy(d) for d in trajectory[6:10]])
         assert np.allclose(entropies, [1.6551, 1.8138, 1.8909, 1.9295], atol=5e-4)
         assert np.all(np.diff(entropies) > 0)
 
     def test_quantum_exhibits_descents_at_scale(self):
         for p in (1.0 / 3.0, 0.5, 0.75):
-            trajectory = global_trajectory(WalkConfig.symmetric(p), 100)
+            trajectory = list(walk_steps(WalkConfig.symmetric(p), "global", 100))
             entropies = [shannon_entropy(d) for d in trajectory]
             assert entropies[-1] > entropies[0]
             assert len(entropy_descents(entropies)) >= 1

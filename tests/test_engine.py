@@ -21,14 +21,13 @@ from coinwalk.engine import (
     cp_distribution,
     cp_walk,
     global_distribution,
-    global_trajectory,
     kraus_pair,
 )
 from coinwalk.kernels import (
     delayed_kernel,
     prompt_distribution,
-    prompt_trajectory,
     pseudo_memory_reconstruct,
+    walk_steps,
 )
 from coinwalk.laurent import IDENTITY, LaurentOperator
 
@@ -68,7 +67,7 @@ def config_id(cfg):
 
 
 def stepped_distribution(cfg, n):
-    """``global_trajectory(cfg, n)[-1]``, without holding the earlier steps."""
+    """The last of ``walk_steps(cfg, "global", n)``, without holding the earlier steps."""
     return _last(_global_steps(cfg, n))
 
 
@@ -125,6 +124,10 @@ class TestWalkConfig:
     def test_nonfinite_coin_state_rejected(self, c, d):
         with pytest.raises(ValueError, match="finite"):
             WalkConfig(c=c, d=d, p=0.5)
+
+    def test_config_never_equals_a_non_config(self):
+        cfg = WalkConfig(c=1.0, d=0.0, p=0.5)
+        assert (cfg == 1) is False and (cfg != 1) is True
 
     def test_coin_of_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match="2x2"):
@@ -299,15 +302,15 @@ class TestGlobalDistribution:
 
     def test_negative_trajectory_steps_rejected(self, symmetric):
         with pytest.raises(ValueError, match="nonnegative"):
-            global_trajectory(symmetric, -1)
+            list(walk_steps(symmetric, "global", -1))
 
     def test_symmetric_walk_is_symmetric(self, symmetric):
-        for n, dist in enumerate(global_trajectory(symmetric, 50)):
+        for n, dist in enumerate(walk_steps(symmetric, "global", 50)):
             for site in dist.support:
                 assert abs(dist[site] - dist[-site]) < 1e-12
 
     def test_parity_support(self, symmetric):
-        for n, dist in enumerate(global_trajectory(symmetric, 25)):
+        for n, dist in enumerate(walk_steps(symmetric, "global", 25)):
             assert all(abs(s) <= n and (s - n) % 2 == 0 for s in dist.support)
 
     @pytest.mark.parametrize("cfg", [
@@ -421,7 +424,7 @@ class TestPromptDistribution:
     @pytest.mark.parametrize("p", [0.25, 0.5])
     def test_matches_binomial_closed_form(self, p):
         cfg = WalkConfig(c=0.0, d=1.0, p=p)
-        trajectory = prompt_trajectory(cfg, 30)
+        trajectory = list(walk_steps(cfg, "prompt", 30))
         for n in range(31):
             assert trajectory[n].distance(binomial_distribution(n, 1 - p)) < 1e-12
 
@@ -433,7 +436,7 @@ class TestPromptDistribution:
 
 class TestDensityMatrix:
     def test_delta_diagonal(self):
-        assert DensityMatrix.delta(0).diagonal().support == (0,)
+        assert DensityMatrix.delta().diagonal().support == (0,)
 
     def test_from_entries_diagonal(self):
         rho = from_entries({(1, 1): 0.3, (5, 5): 0.7})
@@ -558,7 +561,7 @@ class TestCpApply:
 class TestCpWalk:
     def test_period_one_diagonals_are_prompt(self, symmetric):
         trajectory = cp_walk(symmetric, 1, 10)
-        prompt = prompt_trajectory(symmetric, 10)
+        prompt = list(walk_steps(symmetric, "prompt", 10))
         for rho, dist in zip(trajectory, prompt):
             assert rho.diagonal().distance(dist) < 1e-12
 

@@ -16,7 +16,6 @@ from coinwalk.engine import (
     _step_power,
     cp_walk,
     global_distribution,
-    global_trajectory,
     kraus_pair,
 )
 from coinwalk.kernels import (
@@ -33,14 +32,13 @@ from coinwalk.kernels import (
     mixing_matrix,
     phi_matrix,
     prompt_distribution,
-    prompt_trajectory,
     pseudo_memory_reconstruct,
     quantum_kernel,
     reshuffling_matrix,
     walk_steps,
 )
 from coinwalk.laurent import IDENTITY, LaurentOperator
-from coinwalk.verify import run_suite
+from coinwalk.verify import _grid, run_suite
 
 from conftest import COIN_INITS, P_GRID, PHASED_COIN, random_unitary_config
 
@@ -89,6 +87,10 @@ class TestRealKernel:
         with pytest.raises(NumericalError) as err:
             build()
         assert (err.value.value, err.value.bound) == (value, bound)
+
+    def test_repr_names_the_kind(self):
+        assert repr(RealKernel({0: 1.0}, "stochastic")) == "RealKernel({0: 1}, kind='stochastic')"
+        assert repr(SHIFT_DIFFERENCE) == "RealKernel({-1: -1, 1: 1}, kind='null-sum')"
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel kind") as err:
@@ -331,7 +333,7 @@ class TestKernelWalk:
         # two one-step kernels may differ in the last bit; K^n - L^n =
         # sum_j K^j (K - L) L^(n-1-j) then grows by at most ||K - L||_1 per step
         cfg = WalkConfig(c=c, d=d, p=p)
-        prompt = prompt_trajectory(cfg, 60)
+        prompt = list(walk_steps(cfg, "prompt", 60))
         delayed = kernel_walk(delayed_kernel(cfg, 1), 60)
         assert len(prompt) == len(delayed) == 61
         one_step = prompt[1].distance(delayed[1])
@@ -343,7 +345,7 @@ class TestKernelWalk:
     def test_prompt_distribution_is_last_trajectory_step(self, n):
         cfg = WalkConfig(c=0.6, d=0.8j, p=1.0 / 3.0)
         dist = prompt_distribution(cfg, n)
-        last = prompt_trajectory(cfg, n)[-1]
+        last = list(walk_steps(cfg, "prompt", n))[-1]
         assert dist.lo == last.lo
         assert dist.values.tobytes() == last.values.tobytes()
 
@@ -364,10 +366,13 @@ class TestWalkSteps:
     @pytest.mark.parametrize("p", P_GRID)
     @pytest.mark.parametrize("c,d", COIN_INITS)
     def test_prompt_and_global_equal_their_list_forms(self, n, p, c, d):
+        # the period m belongs to the kernel and cp schemes only: it leaves
+        # the prompt and global walks as they are at the default m
         cfg = WalkConfig(c=c, d=d, p=p)
-        for m in (1, 2, 3):  # the period of the kernel and cp schemes only
-            assert_same_steps(walk_steps(cfg, "prompt", n, m), prompt_trajectory(cfg, n))
-            assert_same_steps(walk_steps(cfg, "global", n, m), global_trajectory(cfg, n))
+        for scheme in ("prompt", "global"):
+            want = list(walk_steps(cfg, scheme, n))
+            for m in (1, 2, 3):
+                assert_same_steps(walk_steps(cfg, scheme, n, m), want)
 
     @pytest.mark.parametrize("n", [0, 1, 40])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -445,7 +450,7 @@ BINOMIAL_SHA256 = {
 #: Digests of results built from the one-step weights, recorded when the
 #: prompt kernel was formed from the coin matrix instead of the Kraus pair.
 ONE_STEP_SHA256 = {
-    # prompt_trajectory, steps 0..60
+    # walk_steps(cfg, "prompt", 60), steps 0..60
     "prompt phased": "1d0d9e3273dde65e78c2f79469009257ebf5de940917d3d8f5aab526fef6bda8",
     "prompt random 3": "ff5d70fbe88abcdc5a5cc81c1db04db3a2e0f62163f7aeeef30a87b5f43d7fb5",
     "prompt random 11": "a05b4a7cc1471b9c6edcbabf5d96e4a858bc2de0abfbbd30fa7574edd5938363",
@@ -463,7 +468,7 @@ class TestOneStepWeights:
         ("prompt random 11", random_unitary_config(11)),
     ])
     def test_prompt_walks_of_general_coins_match_recorded_digests(self, key, cfg):
-        assert digest_of(prompt_trajectory(cfg, 60)) == ONE_STEP_SHA256[key]
+        assert digest_of(list(walk_steps(cfg, "prompt", 60))) == ONE_STEP_SHA256[key]
 
     def test_prompt_kernels_match_recorded_digest(self):
         kernels = (_prompt_kernel(WalkConfig(c=c, d=d, p=p))
@@ -530,7 +535,7 @@ class TestPseudoMemory:
         ids=["symmetric"] + [f"d-only-p={p:.3g}" for p in P_GRID],
     )
     def test_reconstruction_matches_global(self, cfg):
-        trajectory = global_trajectory(cfg, 12)
+        trajectory = list(walk_steps(cfg, "global", 12))
         for n in range(1, 13):
             got = pseudo_memory_reconstruct(cfg, n)
             assert got.distance(trajectory[n]) < 1e-10
@@ -538,7 +543,7 @@ class TestPseudoMemory:
     def test_reconstruction_at_four_hundred_steps(self):
         # the classical powers have lost 1.7e-12 of their mass to trimming by here
         cfg = WalkConfig(c=0.0, d=1.0, p=0.25)
-        want = global_trajectory(cfg, 400)[-1]
+        want = list(walk_steps(cfg, "global", 400))[-1]
         assert pseudo_memory_reconstruct(cfg, 400).distance(want) < 1e-10
 
     def test_incompatible_coin_reported(self):
@@ -624,6 +629,21 @@ class TestMemo:
                   WalkConfig(c=0.0, d=1.0, coin=base.coin_unitary)]
         for other in others:
             assert base != other and other != base
+
+    def test_verify_grid_symmetric_configs_are_the_symmetric_config(self):
+        symmetric = [(params["p"], cfg) for params, cfg in _grid() if params["coin"] == "symmetric"]
+        assert [p for p, _ in symmetric] == list(P_GRID)
+        for p, cfg in symmetric:
+            assert cfg == WalkConfig.symmetric(p) and hash(cfg) == hash(WalkConfig.symmetric(p))
+
+    def test_verify_builds_each_symmetric_walk_once(self):
+        # the grid's symmetric configs and the suites' WalkConfig.symmetric(p)
+        # share their memo entries; when they were keyed apart, a cold
+        # run_suite("all", 14) missed 148 and 140 times
+        clear_memos()
+        run_suite("all", 14)
+        assert kraus_pair.cache_info().misses == 135
+        assert mixing_matrix.cache_info().misses == 127
 
     def test_verify_twice_is_byte_identical_to_a_cold_run(self):
         clear_memos()

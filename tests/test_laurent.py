@@ -98,6 +98,13 @@ class TestAddition:
         half = LaurentOperator({0: 0.5})
         assert (half + half).isclose(IDENTITY)
 
+    def test_non_sequence_operands_raise_type_error(self):
+        op = LaurentOperator({-1: 0.5, 2: 1.5j})
+        with pytest.raises(TypeError):
+            op + 1
+        with pytest.raises(TypeError):
+            op - 1
+
 
 class TestMultiplication:
     def test_opposite_shifts_give_identity(self):
@@ -111,6 +118,12 @@ class TestMultiplication:
         a = LaurentOperator({+1: np.sqrt(p)})
         b = LaurentOperator({-1: np.sqrt(p)})
         assert (a * b).isclose(LaurentOperator({0: p}))
+
+    @pytest.mark.parametrize("scalar", [2.0, 0.5j])
+    def test_scalar_on_the_right_equals_scalar_on_the_left(self, scalar):
+        op = LaurentOperator({-1: 0.3 - 0.1j, 0: 1.0 / 3.0, 2: 1.5j})
+        right, left = op * scalar, scalar * op
+        assert (right.lo, right.values.tobytes()) == (left.lo, left.values.tobytes())
 
     @given(operators(), operators())
     def test_commutative(self, a, b):
@@ -210,6 +223,10 @@ class TestCoinBlock:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             build_step_operator(WalkConfig.symmetric()).power(-1)
+
+    def test_product_with_a_non_block_raises_type_error(self):
+        with pytest.raises(TypeError):
+            build_step_operator(WalkConfig.symmetric()) @ 1
 
     @pytest.mark.parametrize("p", [0.0, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0])
     def test_step_operator_unitary(self, p):
