@@ -212,7 +212,7 @@ class DensityMatrix:
             raise ValueError("density matrix must be square")
         mat, lo = _trim_window(mat, lo)
         # each check is written to fail on NaN
-        defect = np.max(np.abs(mat - mat.conj().T))
+        defect = _hermiticity_defect(mat)
         if not defect <= HERMITICITY_TOL:
             raise NumericalError("density matrix is not Hermitian", defect, HERMITICITY_TOL)
         trace = np.trace(mat).real
@@ -266,8 +266,27 @@ class DensityMatrix:
         return _parity_window(np.diag(self._mat))
 
 
+def _hermiticity_defect(mat: np.ndarray) -> float:
+    """``np.max(np.abs(mat - mat.conj().T))``, in row blocks of the upper triangle.
+
+    Each block holds rows i.. of the columns from i on, diagonal included:
+    every entry below the diagonal has the value of its mirror above it, as
+    |x - conj(y)| and |y - conj(x)| round alike.  ``np.max`` of the block
+    maxima keeps a NaN.
+    """
+    w = mat.shape[0]
+    height = max(1, _SCRATCH_CELLS // w)
+    return np.max([np.max(np.abs(mat[i : i + height, i:] - mat[i:, i : i + height].conj().T))
+                   for i in range(0, w, height)])
+
+
 def _trim_window(mat: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
-    """Cut zero rows and columns off both ends; row r is site lo + 2r."""
+    """Cut zero rows and columns off both ends; row r is site lo + 2r.
+
+    ``mat`` itself when no edge row or column is all zero, with no mask built.
+    """
+    if mat.size and all(edge.any() for edge in (mat[0], mat[-1], mat[:, 0], mat[:, -1])):
+        return mat, lo
     mask = mat != 0
     if not mask.any():
         return np.zeros((1, 1), dtype=complex), lo
@@ -468,7 +487,10 @@ def cp_apply(rho: DensityMatrix, kraus: Sequence[LaurentOperator]) -> DensityMat
     of mixed parity raises ValueError.  Only the sublattice is computed:
     each term a conj(b) rho, shifted by the degrees of a and b, is added on
     it in the same order as on the full window, so every stored entry
-    rounds as it would there.
+    rounds as it would there.  The output is summed in blocks of rows of
+    about ``_SCRATCH_CELLS`` entries, each adding every term's rows in that
+    order through one scratch block, so no entry's sum is regrouped; no
+    temporary is as large as the result.
     """
     defect = completeness_defect(kraus)
     if not defect <= COMPLETENESS_TOL:  # NaN too
@@ -482,16 +504,22 @@ def cp_apply(rho: DensityMatrix, kraus: Sequence[LaurentOperator]) -> DensityMat
     src = rho._mat
     w = src.shape[0]
     size = w + (degrees[-1] - dmin) // 2
-    out = np.zeros((size, size), dtype=complex)
-    term = np.empty_like(src)
-    for op in kraus:
-        for d, a in op.items():
-            for e, b in op.items():
+    terms = [(a * np.conj(b), (d - dmin) // 2, (e - dmin) // 2)
+             for op in kraus for d, a in op.items() for e, b in op.items()]
+    out = np.empty((size, size), dtype=complex)
+    out.fill(0.0)  # written before any sum: no page is mapped to zeros, then copied
+    height = max(1, _SCRATCH_CELLS // size)
+    scratch = np.empty((min(height, w), w), dtype=complex)
+    for top in range(0, size, height):
+        bottom = min(top + height, size)
+        for coef, r, c in terms:
+            first, last = max(top, r), min(bottom, r + w)
+            if first < last:
+                block = scratch[: last - first]
                 # coefficient first: the operand order decides how numpy fuses
                 # the complex multiply, hence its rounding
-                np.multiply(a * np.conj(b), src, out=term)
-                r, c = (d - dmin) // 2, (e - dmin) // 2
-                out[r : r + w, c : c + w] += term
+                np.multiply(coef, src[first - r : last - r], out=block)
+                out[first:last, c : c + w] += block
     out.setflags(write=False)  # handed over: the constructor need not copy it
     return DensityMatrix(out, rho.site_range[0] + dmin)
 
@@ -500,7 +528,10 @@ def cp_walk(config: WalkConfig, m: int, n_iterations: int) -> list[DensityMatrix
     """Iterate the delayed-tracing CP map from the origin state.
 
     Returns the trajectory rho^(0), ..., rho^(n_iterations); each iteration
-    applies one full trace period of m coin-walker steps.
+    applies one full trace period of m coin-walker steps.  The list keeps
+    every iterate, sum over t of (t m + 1)^2 x 16 bytes (73 MB at m = 2,
+    n_iterations = 150); ``walk_steps(config, "cp", n, m)`` streams the
+    diagonals holding one iterate, and :func:`cp_distribution` answers one.
     """
     return list(_cp_steps(config, m, n_iterations))
 
@@ -526,6 +557,11 @@ def _check_cp_counts(m: int, n_iterations: int) -> None:
 #: Entries of one block of M(k, k - q) in :func:`cp_distribution` (1 MB of
 #: complex values per array).
 _BLOCK_CELLS = 1 << 16
+#: Entries of one scratch block of :func:`cp_apply` and of the Hermiticity
+#: check (64 kB of complex values).  A strided numpy ufunc call also buffers
+#: up to 8,192 entries per operand; at 8,192 cells the blocks' temporaries
+#: outgrow malloc's 128 kB trim threshold and are faulted in again each call.
+_SCRATCH_CELLS = 1 << 12
 
 
 def cp_distribution(config: WalkConfig, m: int, n_iterations: int) -> SiteDistribution:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -16,6 +17,7 @@ from coinwalk.engine import (
     _global_steps,
     _last,
     _step_power,
+    _trim_window,
     build_step_operator,
     cp_apply,
     cp_distribution,
@@ -511,6 +513,71 @@ class TestDensityMatrix:
         assert dist[2] == 0.0 and dist[0] == pytest.approx(1.0, abs=1e-12)
 
 
+    def test_defect_only_below_the_diagonal_is_caught(self):
+        mat = np.eye(700, dtype=complex) / 700
+        mat[650, 10] = 1e-9j
+        with pytest.raises(NumericalError, match="Hermitian") as err:
+            DensityMatrix(mat, 0)
+        assert err.value.value == 1e-9
+
+    @pytest.mark.parametrize("entry", [(650, 10), (0, 0), (699, 699)],
+                             ids=["below-diagonal", "first-diagonal", "last-diagonal"])
+    def test_nan_in_any_block_reports_nan(self, entry):
+        # finite defects in every other block: a NaN must not be dropped by a max
+        rng = np.random.default_rng(7)
+        mat = rng.normal(size=(700, 700)) + 0j
+        mat[entry] = math.nan
+        with pytest.raises(NumericalError, match="Hermitian") as err:
+            DensityMatrix(mat, 0)
+        assert math.isnan(err.value.value)
+
+    @pytest.mark.parametrize("w", [1, 2, 13, 14, 300, 301, 700])
+    def test_defect_is_the_full_matrix_maximum(self, w):
+        rng = np.random.default_rng(w)
+        mat = rng.normal(size=(w, w)) + 1j * rng.normal(size=(w, w))
+        with pytest.raises(NumericalError) as err:
+            DensityMatrix(mat, 0)
+        assert err.value.value == np.max(np.abs(mat - mat.conj().T))
+
+    @pytest.mark.parametrize("cut", [np.s_[0], np.s_[-1], np.s_[:, 0], np.s_[:, -1], np.s_[:],
+                                     np.s_[:0], np.s_[::5]],
+                             ids=["first-row", "last-row", "first-column", "last-column",
+                                  "all", "none", "first-and-last-rows"])
+    def test_trim_matches_a_full_mask(self, cut):
+        mat = np.random.default_rng(3).normal(size=(6, 6)) + 0j
+        mat[cut] = 0.0
+        # the window written out: from the first to the last nonzero row or column
+        mask = mat != 0
+        want, want_lo = np.zeros((1, 1)), -5
+        if mask.any():
+            rows, cols = np.nonzero(mask.any(axis=1))[0], np.nonzero(mask.any(axis=0))[0]
+            a, b = min(rows[0], cols[0]), max(rows[-1], cols[-1])
+            want, want_lo = mat[a : b + 1, a : b + 1], -5 + 2 * a
+        got, lo = _trim_window(mat, -5)
+        assert lo == want_lo and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("diag,site_range", [
+        ([0.5, 0.5, 0.0], (-5, -3)), ([0.0, 1.0, 0.0], (-3, -3)), ([0.5, 0.0, 0.5], (-5, -1)),
+    ])
+    def test_zero_edge_rows_are_trimmed(self, diag, site_range):
+        assert DensityMatrix(np.diag(diag), -5).site_range == site_range
+
+    def test_checks_allocate_no_full_size_temporary(self):
+        # the Hermiticity check runs in row blocks and the window needs no
+        # trimming: a 601 x 601 matrix (5.8 MB) adds well under one of its size
+        v = np.random.default_rng(1).normal(size=601) + 1j
+        mat = np.outer(v, v.conj()) / np.vdot(v, v).real
+        mat.setflags(write=False)
+        DensityMatrix(mat, 0)
+        tracemalloc.start()
+        try:
+            rho = DensityMatrix(mat, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e6 <= 0.5
+
+
 class TestCpApply:
     def test_identity_kraus_is_noop(self):
         rho = from_entries({(0, 0): 0.5, (2, 2): 0.5, (0, 2): 0.25, (2, 0): 0.25})
@@ -558,6 +625,22 @@ class TestCpApply:
             assert np.abs(dense - dense.conj().T).max() < 1e-12
 
 
+    def test_peak_allocation_is_the_result_and_blocks(self, symmetric):
+        # the output, one scratch block of rows and numpy's buffers for it: no
+        # temporary as large as the 301 x 301 result (1.45 MB)
+        rho = _last(_cp_steps(symmetric, 2, 149))
+        kraus = kraus_pair(symmetric, 2)
+        cp_apply(rho, kraus)
+        tracemalloc.start()
+        try:
+            out = cp_apply(rho, kraus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out._mat.shape == (301, 301)
+        assert (peak - out._mat.nbytes) / 1e6 <= 0.5
+
+
 class TestCpWalk:
     def test_period_one_diagonals_are_prompt(self, symmetric):
         trajectory = cp_walk(symmetric, 1, 10)
@@ -602,6 +685,92 @@ class TestCpWalk:
         want = dense_delayed_diagonals(cfg, m, iters)
         for a, b in zip(got, want):
             assert a.distance(b) < 1e-12
+
+
+#: sha256 of every stored iterate of a CP walk, each its ``lo`` in decimal
+#: and then its stored matrix's bytes, recorded before ``cp_apply`` summed in
+#: row blocks: (coin, p, m, iterations) -> hex digest.
+CP_ITERATE_SHA256 = {
+    ("symmetric", 0.25, 1, 40):
+        "a40c3f32256636b43b64f4e3e53012a5ecdcfffb314ad82caf301302810022cd",
+    ("symmetric", 0.25, 2, 40):
+        "ea61ccdc9c996765659e40b47daa28a33032be72e30ae389ea2b93ad22be8990",
+    ("symmetric", 0.25, 3, 40):
+        "a62d254158185dc8a0fbaddf28a59531093bbef0a205668e37274a813ba6a25c",
+    ("c0d1", 0.25, 1, 40):
+        "da84bfd75c63938e568ff9ee8c2da8f8fa0fbd397985a968d58a8a3a61b9497b",
+    ("c0d1", 0.25, 2, 40):
+        "d552fd7abc6d1bc65be776385c7514b5cb38ddff2ded52915dd6b664a94b3b27",
+    ("c0d1", 0.25, 3, 40):
+        "ed4700b9b27732148499e016eb9595e7995533860a797fed9a34bf0533381250",
+    ("symmetric", 1.0 / 3.0, 1, 40):
+        "9f7146dabfee8d06b6c4bed3fb3e14aa5083c721449d138c52c448151f579b13",
+    ("symmetric", 1.0 / 3.0, 2, 40):
+        "22fb8bc514d7bbe8098d4ef02c29571d8d604cba5f5ff294f44394f57e56743b",
+    ("symmetric", 1.0 / 3.0, 3, 40):
+        "59d20cc4cfb2b957f89ba03eba6f61d9ac90467ca39363f781651bdee84bdf68",
+    ("c0d1", 1.0 / 3.0, 1, 40):
+        "517676d14126528a16ab3437b8337cff3e2c9f0d364b1a4d34969b04f86e5891",
+    ("c0d1", 1.0 / 3.0, 2, 40):
+        "ed3147fbea36278a310fe1d358237c5edac9e3a946704fad4eb3570e85bc33c6",
+    ("c0d1", 1.0 / 3.0, 3, 40):
+        "5b2dd6b9ea2def7b9fd5070cee12160ec844e921ee01fb206db1945805366b02",
+    ("symmetric", 0.5, 1, 40):
+        "b57cf0483735af903c7c6ea1a8d875dc2c5c19197a784709bff132ac99e70315",
+    ("symmetric", 0.5, 2, 40):
+        "9d99e55416a59b9f7e607dbfd0b818733e67cfccd137fbf325dca56d6eba2f7a",
+    ("symmetric", 0.5, 3, 40):
+        "98af5e845ebca50b41d6651996c5afcb03b248dd59cf1790b97067a4cc812b01",
+    ("c0d1", 0.5, 1, 40):
+        "849f206757567ce98875b5dbf35b462b79d3936dd64a4e0e3e260f5c74ac9fb6",
+    ("c0d1", 0.5, 2, 40):
+        "22dd99ddd4985a7d92cf021d8435affadfb0bdbce9391df6e4dd64ba204ac548",
+    ("c0d1", 0.5, 3, 40):
+        "d50545780a0064c768d1bf018ba9a511de1ca4995b1bb69c1dddaa74bb27b68c",
+    ("symmetric", 0.75, 1, 40):
+        "a40c3f32256636b43b64f4e3e53012a5ecdcfffb314ad82caf301302810022cd",
+    ("symmetric", 0.75, 2, 40):
+        "77487906b49f8a7ee515047eb8f7ffe0cc3d8c591b6ba12499ad975851a33355",
+    ("symmetric", 0.75, 3, 40):
+        "34e78ce7b58a484c93cda72ee5af8b0366a6b1953df42a96b7682653830def11",
+    ("c0d1", 0.75, 1, 40):
+        "35ba71a62e2b76403d00de92a783e4b6aafc9ef9cb53d3283c8dc3a59753d982",
+    ("c0d1", 0.75, 2, 40):
+        "a5ba637e2f59001fe126b75c6bb99076330d51fada6336616ab6a423f14e2bf8",
+    ("c0d1", 0.75, 3, 40):
+        "5c5da345b0aa3e1009e160c771ed854a62fb7123199ad3c89de09bac0cbee22a",
+    ("phased-c0d1", None, 2, 40):
+        "d7f9cadcec2536d03f4e13936924ce8e53ac34f913af3659777a09b5b2f0c48b",
+    ("phased-c0d1", None, 4, 40):
+        "e56cf3824f2960a89ea620f502f101c0625b84ac30f2636caeeb7b28f612aa68",
+    ("phased-symmetric", None, 2, 40):
+        "b3b297089bab17065d65fe8fd28152cff07b7f583b5718246062f3c624a35f6f",
+    ("phased-symmetric", None, 4, 40):
+        "06e82ea5d5fc885babaf274fa9861d4439aca5ad8e7dd9823ce55670af7b4caf",
+    ("symmetric", 0.5, 2, 150):
+        "f4714ecc9884e72c6ab7b85eb3e8a52afea3387e6c420a49e85affc85d0ae801",
+}
+
+
+def cp_config(coin, p):
+    if coin == "symmetric":
+        return WalkConfig.symmetric(p)
+    if coin == "c0d1":
+        return WalkConfig(c=0.0, d=1.0, p=p)
+    c, d = COIN_INITS[coin == "phased-symmetric"]
+    return WalkConfig(c=c, d=d, coin=PHASED_COIN)
+
+
+class TestCpIterateBits:
+    @pytest.mark.parametrize("coin,p,m,n", CP_ITERATE_SHA256,
+                             ids=[f"{c}-p={p and round(p, 3)}-m={m}-n={n}"
+                                  for c, p, m, n in CP_ITERATE_SHA256])
+    def test_every_iterate_keeps_its_bits(self, coin, p, m, n):
+        digest = hashlib.sha256()
+        for rho in _cp_steps(cp_config(coin, p), m, n):
+            digest.update(str(rho._lo).encode())
+            digest.update(rho._mat.tobytes())
+        assert digest.hexdigest() == CP_ITERATE_SHA256[coin, p, m, n]
 
 
 class TestErrorKinds:

@@ -38,7 +38,7 @@ from coinwalk.kernels import (
     walk_steps,
 )
 from coinwalk.laurent import IDENTITY, LaurentOperator
-from coinwalk.verify import _grid, run_suite
+from coinwalk.verify import SUITES, _grid, run_suite
 
 from conftest import COIN_INITS, P_GRID, PHASED_COIN, random_unitary_config
 
@@ -573,6 +573,17 @@ MEMO_CONFIGS = [
 ]
 
 
+#: Misses of kraus_pair, _step_power, quantum_kernel and mixing_matrix in one
+#: run_suite(suite, 14) from cleared memos.
+SUITE_COLD_MISSES = {
+    "kraus": (120, 60, 0, 0),
+    "stochastic": (120, 60, 120, 112),
+    "recurrence": (120, 60, 120, 112),
+    "memory": (72, 52, 0, 72),
+    "prop2": (1, 2, 1, 0),
+    "analysis": (2, 2, 0, 0),
+}
+
 def clear_memos():
     for fn in (*MEMOISED.values(), _step_power):
         fn.cache_clear()
@@ -644,6 +655,14 @@ class TestMemo:
         run_suite("all", 14)
         assert kraus_pair.cache_info().misses == 135
         assert mixing_matrix.cache_info().misses == 127
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_each_suite_cold_cache_misses(self, suite):
+        # a suite restructured to build fewer walk parameters shows it here
+        clear_memos()
+        run_suite(suite, 14)
+        fns = (kraus_pair, _step_power, quantum_kernel, mixing_matrix)
+        assert tuple(fn.cache_info().misses for fn in fns) == SUITE_COLD_MISSES[suite]
 
     def test_verify_twice_is_byte_identical_to_a_cold_run(self):
         clear_memos()
