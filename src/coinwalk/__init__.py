@@ -12,7 +12,7 @@ everything else is imported from its module (``coinwalk.engine``,
 
 from .analysis import compare_majorization, shannon_entropy
 from .engine import WalkConfig, cp_walk, global_distribution
-from .kernels import delayed_kernel, kernel_walk, pseudo_memory_reconstruct, quantum_kernel
+from .kernels import kernel_walk, pseudo_memory_reconstruct, quantum_kernel
 
 __version__ = "0.1.0"
 
@@ -20,7 +20,6 @@ __all__ = [
     "WalkConfig",
     "compare_majorization",
     "cp_walk",
-    "delayed_kernel",
     "global_distribution",
     "kernel_walk",
     "pseudo_memory_reconstruct",

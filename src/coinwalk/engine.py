@@ -33,6 +33,7 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 #: Largest coefficient deviation of sum_j A_j^dagger A_j from the identity.
 COMPLETENESS_TOL = 1e-10
+#: Rounding slack below 0 of a probability, diagonal entry or stochastic kernel coefficient.
 NEGATIVE_DUST = 1e-12
 
 
@@ -335,10 +336,7 @@ def _step_power(coin: bytes, n: int) -> CoinBlock:
         return CoinBlock(((u[0, 0] * E_PLUS, u[0, 1] * E_PLUS),
                           (u[1, 0] * E_MINUS, u[1, 1] * E_MINUS)))
     top = 1 << ((n - 1).bit_length() - 1)  # the largest power of two below n
-    block = _step_power(coin, n - top) @ _step_power(coin, top)
-    if block.max_degree() > n:
-        raise AssertionError("operator support escaped the light cone")
-    return block
+    return _step_power(coin, n - top) @ _step_power(coin, top)
 
 
 # -- distributions ----------------------------------------------------------

@@ -16,32 +16,18 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .engine import (NORM_TOL, NumericalError, SiteDistribution, WalkConfig, _check_cp_counts,
-                     _check_steps, _cp_steps, _global_steps, _last, _UNIT_ROUNDOFF, kraus_pair,
-                     memoised)
+from .engine import (NEGATIVE_DUST, NORM_TOL, NumericalError, SiteDistribution, WalkConfig,
+                     _check_cp_counts, _check_steps, _cp_steps, _global_steps, _last,
+                     _UNIT_ROUNDOFF, kraus_pair, memoised)
 from .laurent import TRIM_TOL, FiniteSequence, LaurentOperator, window_sum
 
 REAL_TOL = 1e-12
-NONNEG_TOL = 1e-12
 #: The tracing schemes :func:`walk_steps` evaluates.
 SCHEMES = ("prompt", "global", "kernel", "cp")
 
 
 class IncompatibleCoinError(ValueError):
-    """The coin initialization breaks the base case of the memory decomposition.
-
-    Carries the measured one-step right-move probability so callers can
-    report how far the configuration is from compatibility.
-    """
-
-    def __init__(self, measured_right: float, expected_right: float):
-        self.measured_right = measured_right
-        self.expected_right = expected_right
-        super().__init__(
-            "one-step right probability "
-            f"{measured_right:.12g} != {expected_right:.12g} required by the "
-            "classical kernel convention"
-        )
+    """The coin initialization breaks the base case of the memory decomposition."""
 
 
 class RealKernel(FiniteSequence):
@@ -60,10 +46,10 @@ class RealKernel(FiniteSequence):
     def __init__(self, coeffs: Mapping[int, float] | tuple, kind: str | None = None):
         super().__init__(coeffs)
         if kind == "stochastic":
-            negative = ~(self.values >= -NONNEG_TOL)  # NaN too
+            negative = ~(self.values >= -NEGATIVE_DUST)  # NaN too
             if np.count_nonzero(negative):
                 raise NumericalError("stochastic kernel has a negative coefficient",
-                                     -self.values[negative].min(), NONNEG_TOL)
+                                     -self.values[negative].min(), NEGATIVE_DUST)
             target = 1.0
         elif kind == "null-sum":
             target = 0.0
@@ -86,10 +72,6 @@ class RealKernel(FiniteSequence):
             raise NumericalError(f"coefficient at degree {op.lo + k} has imaginary part "
                                  f"{op.values.imag[k]}", abs(op.values.imag[k]), REAL_TOL)
         return cls((op.lo, op.values.real), kind)
-
-    @classmethod
-    def identity(cls) -> "RealKernel":
-        return cls({0: 1.0}, "stochastic")
 
     # -- inspection ---------------------------------------------------------
 
@@ -177,19 +159,9 @@ def reshuffling_matrix(config: WalkConfig, i: int) -> RealKernel:
 
 
 def phi_matrix(config: WalkConfig) -> RealKernel:
-    """The fixed null-sum part of the period-2 delayed kernel."""
-    kernel = delayed_kernel(config) - classical_kernel(_require_bias(config))
+    """The fixed null-sum part of the period-2 delayed kernel, quantum_kernel(config, 2)."""
+    kernel = quantum_kernel(config, 2) - classical_kernel(_require_bias(config))
     return RealKernel((kernel.lo, kernel.values), "null-sum")
-
-
-def delayed_kernel(config: WalkConfig, m: int = 2) -> RealKernel:
-    """The fixed doubly stochastic kernel of the period-m delayed walk.
-
-    Tracing the coin every m steps applies the m-step Kraus pair each
-    period, so this is the m-step quantum kernel.
-    """
-    _check_cp_counts(m, 0)
-    return quantum_kernel(config, m)
 
 
 def kernel_walk(kernel: RealKernel, n: int) -> list[SiteDistribution]:
@@ -228,7 +200,7 @@ def _prompt_kernel(config: WalkConfig) -> RealKernel:
 
     Tracing every step restarts each step from the initial coin, so the walk
     is the period-1 kernel walk.  The weights are the one-step Kraus moduli
-    taken as ``abs(a) ** 2``; ``delayed_kernel(config, 1)`` forms
+    taken as ``abs(a) ** 2``; ``quantum_kernel(config, 1)`` forms
     re^2 + im^2, which rounds differently.
     """
     a0, a1 = kraus_pair(config, 1)
@@ -248,7 +220,9 @@ def walk_steps(config: WalkConfig, scheme: str, n: int,
     if scheme == "global":
         return _global_steps(config, n)
     if scheme == "kernel":
-        return _kernel_steps(delayed_kernel(config, m), n)
+        # tracing every m steps applies the m-step Kraus pair each period
+        _check_cp_counts(m, 0)
+        return _kernel_steps(quantum_kernel(config, m), n)
     if scheme == "cp":
         return (rho.diagonal() for rho in _cp_steps(config, m, n))
     raise ValueError(f"unknown scheme: {scheme!r}")
@@ -284,9 +258,10 @@ def pseudo_memory_reconstruct(config: WalkConfig, n: int) -> SiteDistribution:
     """
     _check_steps(n)
     p = _require_bias(config)
-    measured_right = _prompt_kernel(config).coeff(+1)
-    if abs(measured_right - (1.0 - p)) > 1e-10:
-        raise IncompatibleCoinError(measured_right, 1.0 - p)
+    right = _prompt_kernel(config).coeff(+1)
+    if abs(right - (1.0 - p)) > 1e-10:
+        raise IncompatibleCoinError(f"one-step right probability {right:.12g} != {1.0 - p:.12g}"
+                                    " required by the classical kernel convention")
     acc = _memory_sum(config, classical_kernel(p), n)
     clipped = np.where(acc.values > TRIM_TOL, acc.values, 0.0)
     return SiteDistribution((acc.lo, clipped), sum_tol=1e-9)

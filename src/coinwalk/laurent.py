@@ -257,8 +257,3 @@ class CoinBlock:
             if n:
                 base = base @ base
         return result
-
-    def max_degree(self) -> int:
-        # trimmed ends are nonzero, so each entry's extreme degrees are its ends
-        ops = [op for row in self._entries for op in row if op.values.size]
-        return max((max(-op.lo, op.lo + op.values.size - 1) for op in ops), default=0)

@@ -26,7 +26,6 @@ from coinwalk.kernels import (
     SHIFT_DIFFERENCE,
     RealKernel,
     classical_kernel,
-    delayed_kernel,
     kernel_walk,
     mixing_matrix,
     phi_matrix,
@@ -74,9 +73,6 @@ def test_criterion_02_double_stochasticity():
             k = quantum_kernel(cfg, n)
             worst = max(worst, abs(k.coefficient_sum - 1.0))
             worst = max(worst, max((-v for _, v in k.items()), default=0.0))
-        dk = delayed_kernel(cfg)
-        worst = max(worst, abs(dk.coefficient_sum - 1.0))
-        worst = max(worst, max((-v for _, v in dk.items()), default=0.0))
         worst = max(worst, abs(phi_matrix(cfg).coefficient_sum))
         for i in range(1, 21):
             worst = max(worst, abs(reshuffling_matrix(cfg, i).coefficient_sum))
@@ -161,7 +157,7 @@ def test_criterion_08_classical_chain():
 
 
 def test_criterion_09_kernel_walk_chain():
-    walk = kernel_walk(delayed_kernel(SYMMETRIC), 30)
+    walk = kernel_walk(quantum_kernel(SYMMETRIC, 2), 30)
     ok = all(
         compare_majorization(walk[n], walk[n + 1]).relation
         in (Verdict.FIRST_MAJORIZES, Verdict.EQUAL)
@@ -180,7 +176,7 @@ def test_criterion_10_cp_walk_moments():
 
 
 def test_criterion_11_kernel_cp_divergence():
-    walk = kernel_walk(delayed_kernel(SYMMETRIC), 2)
+    walk = kernel_walk(quantum_kernel(SYMMETRIC, 2), 2)
     cp = [rho.diagonal() for rho in cp_walk(SYMMETRIC, 2, 2)]
     agree = max(walk[n].total_variation(cp[n]) for n in (0, 1))
     gap = walk[2].total_variation(cp[2])

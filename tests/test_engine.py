@@ -26,7 +26,6 @@ from coinwalk.engine import (
     kraus_pair,
 )
 from coinwalk.kernels import (
-    delayed_kernel,
     prompt_distribution,
     pseudo_memory_reconstruct,
     walk_steps,
@@ -240,7 +239,7 @@ class TestKrausDelayed:
         # the two entry points that take a trace period
         cfg = WalkConfig.symmetric()
         with pytest.raises(ValueError, match="trace period"):
-            delayed_kernel(cfg, 0)
+            walk_steps(cfg, "kernel", 3, 0)
         with pytest.raises(ValueError, match="trace period"):
             cp_walk(cfg, 0, 1)
 
