@@ -1,7 +1,7 @@
 """Discrete-time quantum random walks on the integer line.
 
-Exact simulation of coin-walker walks under prompt, global, and delayed
-coin-tracing schemes, the doubly stochastic kernels that drive their site
+Exact simulation of coin-walker walks under the prompt, global, kernel and
+cp coin-tracing schemes, the doubly stochastic kernels that drive their site
 distributions, and entropy/majorization/moment analyses.
 
 The package namespace holds the entry points of the README's quick start;

@@ -155,8 +155,8 @@ def _config_record(config: WalkConfig, scheme: str, m: int) -> dict:
     return {
         "scheme": scheme,
         "p": config.p,
-        "c": _fmt_complex(complex(config.c)),
-        "d": _fmt_complex(complex(config.d)),
+        "c": _fmt_complex(config.c),
+        "d": _fmt_complex(config.d),
         "m": m,
     }
 

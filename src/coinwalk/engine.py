@@ -1,18 +1,17 @@
 """Coin-walker step operator, Kraus generators, and exact walk evolution.
 
-Three tracing schemes are supported:
+``kernels.walk_steps`` maps each of the four tracing schemes in ``kernels.SCHEMES``:
 
-* global  -- the coin is traced once, after all steps; distributions come
+* prompt, kernel -- kernel walks, in :mod:`coinwalk.kernels`: the coin is
+  traced after every step (a biased classical walk), or every m steps with
+  the walk read through the m-step quantum kernel.
+* global -- the coin is traced once, after all steps; distributions come
   from a single completely positive map with two Kraus generators,
   ``walk_steps`` steps the joint amplitudes (``_global_steps``), and
   ``global_distribution`` answers one step in momentum space.
-* delayed -- the coin is traced every m steps; ``cp_walk`` iterates a fixed
+* cp -- the coin is traced every m steps; ``cp_walk`` iterates a fixed
   CP map whose Kraus generators are those of an m-step global walk, and
   ``cp_distribution`` gives its diagonal at one iteration in momentum space.
-* prompt  -- the coin is traced after every step; the walk is a biased
-  classical random walk and distributions are binomial.  It is the
-  period-1 kernel walk, so it lives in :mod:`coinwalk.kernels`
-  (``walk_steps``, ``prompt_distribution``).
 """
 
 from __future__ import annotations
@@ -57,30 +56,33 @@ class WalkConfig:
     """Coin parameters and initial coin state for a walk started at the origin.
 
     Either ``p`` (the standard one-parameter coin) or ``coin`` (an arbitrary
-    2x2 unitary) must be given, not both.  The coin matrix is built once, as
-    a read-only array (a given ``coin`` is copied).  Two configs are equal
-    when their parameters are exactly equal: ``c``, ``d`` and ``p`` of the
-    same types with the same bytes, and the same coin matrix bytes.  Equal
-    configs build every operator, kernel and distribution bit for bit
-    alike, so the memoised constructions share their entries.
+    2x2 unitary) must be given, not both.  ``c`` and ``d`` are stored as
+    complex, ``p`` as float, and the coin matrix, built once, as a read-only
+    array (a given ``coin`` is copied).  Configs are equal when these values
+    are equal, the coin matrix compared by its bytes; equal configs build every
+    operator, kernel and distribution bit for bit alike and share memo entries.
     """
 
-    c: complex = field(compare=False)
-    d: complex = field(compare=False)
-    p: float | None = field(default=None, compare=False)
+    c: complex
+    d: complex
+    p: float | None = None
     coin: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _key: tuple = field(init=False, repr=False)
+    _unitary_bytes: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
         if (self.p is None) == (self.coin is None):
             raise ValueError("specify exactly one of p or coin")
         if not np.isfinite([self.c, self.d]).all():
             raise ValueError(f"initial coin amplitudes must be finite, got {self.c}, {self.d}")
-        if not abs(abs(self.c) ** 2 + abs(self.d) ** 2 - 1.0) <= NORM_TOL:
+        object.__setattr__(self, "c", complex(self.c))
+        object.__setattr__(self, "d", complex(self.d))
+        object.__setattr__(self, "_norm", abs(self.c) ** 2 + abs(self.d) ** 2)
+        if not abs(self._norm - 1.0) <= NORM_TOL:
             raise ValueError("initial coin amplitudes must satisfy |c|^2 + |d|^2 = 1")
         if self.p is not None:
             if not 0.0 <= self.p <= 1.0:
                 raise ValueError(f"coin bias must lie in [0, 1], got {self.p}")
+            object.__setattr__(self, "p", float(self.p))
             sp, sq = np.sqrt(self.p), np.sqrt(1.0 - self.p)
             u = np.array([[sp, sq], [sq, -sp]], dtype=complex)
         else:
@@ -94,10 +96,7 @@ class WalkConfig:
             object.__setattr__(self, "coin", u)
         u.setflags(write=False)
         object.__setattr__(self, "_unitary", u)
-        # the scalar's type picks LaurentOperator.__rmul__'s rounding path
-        exact = [(type(v), np.asarray(v).tobytes()) for v in (self.c, self.d, self.p)
-                 if v is not None]
-        object.__setattr__(self, "_key", (u.tobytes(), *exact))
+        object.__setattr__(self, "_unitary_bytes", u.tobytes())
 
     @classmethod
     def symmetric(cls, p: float = 0.5) -> "WalkConfig":
@@ -386,10 +385,9 @@ def _stepped_sum_tol(config: WalkConfig, n: int) -> float:
     """
     coin = config.coin_unitary
     defect = float(np.linalg.norm(coin.conj().T @ coin - np.eye(2))) + 8 * _UNIT_ROUNDOFF
-    norm = abs(config.c) ** 2 + abs(config.d) ** 2
-    drift = norm * math.expm1(n * (defect + 13 * _UNIT_ROUNDOFF))
+    drift = config._norm * math.expm1(n * (defect + 13 * _UNIT_ROUNDOFF))
     squares = ((2 * n + 1).bit_length() + 32) * _UNIT_ROUNDOFF
-    return max(1e-12, abs(norm - 1.0) + drift + squares)
+    return max(1e-12, abs(config._norm - 1.0) + drift + squares)
 
 
 def _last(steps: Iterator):
@@ -427,7 +425,7 @@ def _walk_symbol(config: WalkConfig, n: int, size: int) -> np.ndarray:
     l = np.arange(size)
     z = np.exp(-2j * np.pi / size * np.where(2 * l > size, l - size, l))  # |angle| <= pi
     (b00, b01), (b10, b11) = (u[0, 0], u[0, 1]), (u[1, 0] * z, u[1, 1] * z)
-    v0, v1 = np.full(size, complex(config.c)), np.full(size, complex(config.d))
+    v0, v1 = np.full(size, config.c), np.full(size, config.d)
     while n:
         if n & 1:
             v0, v1 = b00 * v0 + b01 * v1, b10 * v0 + b11 * v1
@@ -436,8 +434,7 @@ def _walk_symbol(config: WalkConfig, n: int, size: int) -> np.ndarray:
             b00, b01, b10, b11 = (b00 * b00 + b01 * b10, b00 * b01 + b01 * b11,
                                   b10 * b00 + b11 * b10, b10 * b01 + b11 * b11)
     psi = np.stack([v0, v1])
-    norm = abs(config.c) ** 2 + abs(config.d) ** 2
-    psi *= np.sqrt(norm / (psi.real ** 2 + psi.imag ** 2).sum(axis=0))
+    psi *= np.sqrt(config._norm / (psi.real ** 2 + psi.imag ** 2).sum(axis=0))
     return psi
 
 
@@ -575,8 +572,7 @@ def cp_distribution(config: WalkConfig, m: int, n_iterations: int) -> SiteDistri
     """
     _check_cp_counts(m, n_iterations)
     size = n_iterations * m + 1
-    norm = abs(config.c) ** 2 + abs(config.d) ** 2
-    a = _walk_symbol(config, m, size) / math.sqrt(norm)
+    a = _walk_symbol(config, m, size) / math.sqrt(config._norm)
     # row r of the window view is conj(a)[(l + r) % size]; r = size - q is the shift by -q
     conj = np.conj(a)
     rows = np.lib.stride_tricks.sliding_window_view(np.concatenate([conj, conj], axis=1),

@@ -132,14 +132,9 @@ class FiniteSequence:
         return self.__rmul__(other)
 
     def __rmul__(self, scalar):
-        if isinstance(scalar, complex):
-            # scalar complex arithmetic: a vectorized complex multiply may
-            # fuse its products and round differently
-            scalar = complex(scalar)
-            out = [scalar * v for v in self.values.tolist()]
-        else:
-            out = scalar * self.values
-        return type(self)((self.lo, out))
+        if self.dtype is complex:
+            return type(self)((self.lo, _complex_product(complex(scalar), self.values)))
+        return type(self)((self.lo, scalar * self.values))
 
     def convolve(self, other: "FiniteSequence"):
         return type(self)(self._convolved(other))
@@ -148,6 +143,19 @@ class FiniteSequence:
         if self.is_zero or other.is_zero:
             return 0, self.values[:0]
         return self.lo + other.lo, np.convolve(self.values, other.values)
+
+
+def _complex_product(x, y: np.ndarray) -> np.ndarray:
+    """``x * y`` for a complex scalar or array x and a complex array y.
+
+    Separate real products round each entry like Python's complex product,
+    which numpy's fused complex multiply may not; setting ``.real`` and
+    ``.imag``, not ``re + 1j * im``, keeps the sign of each zero.
+    """
+    out = np.empty(y.shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
 
 
 def window_sum(terms: Iterable[tuple[int, np.ndarray]]) -> tuple[int, np.ndarray]:
@@ -189,11 +197,7 @@ class LaurentOperator(FiniteSequence):
             return LaurentOperator()
         a = self.values[lo - self.lo : hi - self.lo]
         b = other.values[lo - other.lo : hi - other.lo]
-        # separate real products, rounded like the scalar a * conj(b)
-        out = np.empty(hi - lo, dtype=complex)
-        out.real = a.real * b.real + a.imag * b.imag
-        out.imag = a.imag * b.real - a.real * b.imag
-        return LaurentOperator((lo, out))
+        return LaurentOperator((lo, _complex_product(a, np.conj(b))))
 
     # -- dense realization --------------------------------------------------
 

@@ -34,6 +34,17 @@ def random_unitary_config(seed) -> WalkConfig:
     return WalkConfig(c=c / norm, d=d / norm, coin=coin)
 
 
+def config_id(cfg) -> str:
+    """A test id for a config: its bias, or "phased", and its coin state to 3 digits.
+
+    An amplitude with no imaginary part prints as a real, so a config keeps
+    its id whichever number type carried its values.
+    """
+    bias = "phased" if cfg.p is None else f"p={cfg.p:.3g}"
+    c, d = (f"{z.real:.3g}" if z.imag == 0 else f"{z:.3g}" for z in (cfg.c, cfg.d))
+    return f"{bias},c={c},d={d}"
+
+
 def entropy_descents(entropies) -> list[int]:
     """The steps N whose entropy S(N+1) falls below S(N) by more than 1e-12."""
     return [n for n in range(len(entropies) - 1) if entropies[n + 1] < entropies[n] - 1e-12]

@@ -37,6 +37,7 @@ from conftest import (
     P_GRID,
     PHASED_COIN,
     binomial_distribution,
+    config_id,
     dense_cp,
     dense_delayed_diagonals,
     dense_global_distribution,
@@ -60,11 +61,6 @@ LAYOUT_CONFIGS = [*MOMENTUM_CONFIGS,
 #: The coins whose walk is deterministic in each coin component.
 DEGENERATE_CONFIGS = [WalkConfig(c=cd[0], d=cd[1], p=p)
                       for p in (0.0, 1.0) for cd in (*COIN_INITS, (1.0, 0.0))]
-
-
-def config_id(cfg):
-    bias = "phased" if cfg.p is None else f"p={cfg.p:.3g}"
-    return f"{bias},c={cfg.c:.3g},d={cfg.d:.3g}"
 
 
 def stepped_distribution(cfg, n):
@@ -205,6 +201,23 @@ class TestKrausPair:
     def test_memoised_powers_of_random_unitary_coins(self, seed, n):
         cfg = random_unitary_config(seed)
         assert_kraus_is_block_power(cfg, n, build_step_operator(cfg).power(n))
+
+    @pytest.mark.parametrize("cfg", [
+        *(random_unitary_config(seed) for seed in range(10)),
+        WalkConfig(c=0.6 + 0.48j, d=0.64j, coin=PHASED_COIN),
+    ], ids=[*(f"seed{seed}" for seed in range(10)), "phased"])
+    def test_general_complex_states_scale_each_block_coefficient(self, cfg):
+        # no digest pins a c or d with both parts nonzero; the reference scales
+        # each coefficient of the block power by c and d as Python scalars
+        def scaled(z, op):
+            return LaurentOperator((op.lo, [z * x for x in op.values.tolist()]))
+
+        c, d = complex(cfg.c), complex(cfg.d)
+        for n in range(31):
+            block = _step_power(cfg.coin_unitary.tobytes(), n)
+            for row, got in enumerate(kraus_pair(cfg, n)):
+                want = scaled(c, block[row, 0]) + scaled(d, block[row, 1])
+                assert (got.lo, got.values.tobytes()) == (want.lo, want.values.tobytes()), n
 
     def test_reconstruction_same_bytes_cold_and_warm(self):
         cfg = WalkConfig(c=0.0, d=1.0, p=0.5)

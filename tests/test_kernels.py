@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coinwalk import cli
 from coinwalk.analysis import Verdict, compare_majorization
 from coinwalk.engine import (
     MEMO_SIZE,
@@ -14,6 +15,7 @@ from coinwalk.engine import (
     WalkConfig,
     _last,
     _step_power,
+    cp_distribution,
     cp_walk,
     global_distribution,
     kraus_pair,
@@ -39,7 +41,7 @@ from coinwalk.kernels import (
 from coinwalk.laurent import IDENTITY, LaurentOperator
 from coinwalk.verify import SUITES, _grid, run_suite
 
-from conftest import COIN_INITS, P_GRID, PHASED_COIN, random_unitary_config
+from conftest import COIN_INITS, P_GRID, PHASED_COIN, config_id, random_unitary_config
 
 
 class TestRealKernel:
@@ -608,14 +610,9 @@ def bits(value):
     return type(value), value.lo, value.values.tobytes(), getattr(value, "kind", None)
 
 
-def memo_id(cfg):
-    bias = "phased" if cfg.p is None else f"p={cfg.p:.3g}"
-    return f"{bias},c={cfg.c:.3g},d={cfg.d:.3g}"
-
-
 class TestMemo:
     @pytest.mark.parametrize("name,cfg", [
-        pytest.param(name, cfg, id=f"{name}-{memo_id(cfg)}")
+        pytest.param(name, cfg, id=f"{name}-{config_id(cfg)}")
         for name in MEMOISED for cfg in MEMO_CONFIGS
         if cfg.p is not None or name != "mixing_matrix"  # it needs the one-parameter coin
     ])
@@ -634,24 +631,70 @@ class TestMemo:
     def test_symmetric_and_hand_built_configs_agree(self, p):
         s = 1.0 / np.sqrt(2.0)
         sym, same = WalkConfig.symmetric(p), WalkConfig(c=s, d=1j * s, p=p)
-        plain = WalkConfig(c=float(s), d=complex(1j * s), p=p)  # Python scalars: another key
-        assert sym == same and hash(sym) == hash(same) and sym != plain
+        plain = WalkConfig(c=float(s), d=complex(1j * s), p=p)  # Python scalars: the same values
+        for cfg in (same, plain):
+            assert cfg == sym and hash(cfg) == hash(sym)
         for name, fn in MEMOISED.items():
             results = []
             for cfg in (sym, same, plain):
                 clear_memos()
                 results.append([bits(fn(cfg, n)) for n in range(13)])
             assert results[0] == results[1] == results[2], name
-            assert fn(same, 12) is fn(sym, 12), name
+            assert fn(same, 12) is fn(sym, 12) and fn(plain, 12) is fn(sym, 12), name
 
     def test_configs_differing_in_any_parameter_are_unequal(self):
         base = WalkConfig(c=0.0, d=1.0, p=0.5)
-        assert base == WalkConfig(c=0.0, d=1.0, p=0.5)
-        others = [WalkConfig(c=0.0, d=1.0, p=0.25), WalkConfig(c=0, d=1.0, p=0.5),
-                  WalkConfig(c=-0.0, d=1.0, p=0.5), WalkConfig(c=0.0, d=1.0 + 0j, p=0.5),
+        # a config is its values, whatever number type carried them; c = -0.0
+        # equals c = 0.0, as the numbers do
+        same = [WalkConfig(c=0.0, d=1.0, p=0.5), WalkConfig(c=0, d=1, p=0.5),
+                WalkConfig(c=-0.0, d=1.0, p=0.5), WalkConfig(c=0.0, d=1.0 + 0j, p=0.5),
+                WalkConfig(c=0j, d=complex(1.0, -0.0), p=np.float64(0.5)),
+                WalkConfig(c=np.float64(0.0), d=np.complex64(1.0), p=np.float32(0.5))]
+        for other in same:
+            assert base == other and other == base and hash(other) == hash(base)
+        others = [WalkConfig(c=0.0, d=1.0, p=0.25), WalkConfig(c=1.0, d=0.0, p=0.5),
+                  WalkConfig(c=0.0, d=-1.0, p=0.5), WalkConfig(c=0.0, d=1j, p=0.5),
                   WalkConfig(c=0.0, d=1.0, coin=base.coin_unitary)]
         for other in others:
             assert base != other and other != base
+        phased = WalkConfig(c=0.0, d=1.0, coin=PHASED_COIN)
+        assert phased != WalkConfig(c=0.0, d=1.0, coin=PHASED_COIN.conj())
+        # p = -0.0 is not p = 0.0: np.sqrt(-0.0) is -0.0, so the coin bytes differ
+        assert WalkConfig(c=0.0, d=1.0, p=-0.0) != WalkConfig(c=0.0, d=1.0, p=0.0)
+
+    @pytest.mark.parametrize("group", [
+        [dict(c=0.5 + 0.5j, d=0.5 - 0.5j, p=0.25),
+         dict(c=np.complex64(0.5 + 0.5j), d=np.complex128(0.5 - 0.5j), p=np.float32(0.25)),
+         dict(c=complex(0.5, 0.5), d=np.complex64(0.5 - 0.5j), p=np.float64(0.25))],
+        [dict(c=1, d=0, p=0.5), dict(c=1.0, d=0.0, p=0.5), dict(c=1 + 0j, d=-0.0, p=0.5),
+         dict(c=np.float32(1.0), d=np.complex64(0.0), p=np.float64(0.5))],
+        [dict(c=0, d=1j, coin=PHASED_COIN), dict(c=np.complex64(0.0), d=1j, coin=PHASED_COIN),
+         dict(c=complex(-0.0, 0.0), d=np.complex128(1j), coin=PHASED_COIN)],
+    ], ids=["complex", "basis", "phased"])
+    def test_configs_equal_by_value_build_the_same_bits(self, group):
+        configs = [WalkConfig(**values) for values in group]
+        assert all(cfg == configs[0] and hash(cfg) == hash(configs[0]) for cfg in configs)
+        results = []
+        for cfg in configs:
+            clear_memos()
+            built = [bits(fn(cfg, n)) for name, fn in MEMOISED.items() for n in range(13)
+                     if cfg.p is not None or name != "mixing_matrix"]
+            built += [bits(dist) for scheme in SCHEMES for m in (1, 2, 3)
+                      for dist in walk_steps(cfg, scheme, 12, m)]
+            built += [bits(global_distribution(cfg, n)) for n in (0, 1, 12)]
+            built += [bits(cp_distribution(cfg, m, n)) for m in (1, 2, 3) for n in (0, 1, 6)]
+            results.append(built)
+        assert all(built == results[0] for built in results)
+
+    def test_p_only_and_basis_coin_options_build_one_config(self):
+        parser = cli.build_parser()
+        configs = [cli.build_config(parser.parse_args(["simulate", *coin, "--p", "0.5",
+                                                       "--steps", "12"]))
+                   for coin in ([], ["--coin", "c=1,d=0"])]
+        assert configs[0] == configs[1] and hash(configs[0]) == hash(configs[1])
+        clear_memos()
+        assert kraus_pair(configs[0], 12) is kraus_pair(configs[1], 12)
+        assert kraus_pair.cache_info().misses == 1
 
     def test_verify_grid_symmetric_configs_are_the_symmetric_config(self):
         symmetric = [(params["p"], cfg) for params, cfg in _grid() if params["coin"] == "symmetric"]
@@ -718,17 +761,17 @@ KERNEL_WALK_SHA256 = {
 
 
 class TestKernelLayerDigests:
-    @pytest.mark.parametrize("cfg", MEMO_CONFIGS, ids=memo_id)
+    @pytest.mark.parametrize("cfg", MEMO_CONFIGS, ids=config_id)
     def test_quantum_kernels_match_recorded_digests(self, cfg):
         got = digest_of(quantum_kernel(cfg, m) for m in range(9))
-        assert got == QUANTUM_KERNEL_SHA256[memo_id(cfg)]
+        assert got == QUANTUM_KERNEL_SHA256[config_id(cfg)]
 
     @pytest.mark.parametrize("m", sorted(KERNEL_WALK_SHA256))
     def test_kernel_walks_match_recorded_digests(self, m):
         got = digest_of(d for cfg in MEMO_CONFIGS for d in walk_steps(cfg, "kernel", 60, m))
         assert got == KERNEL_WALK_SHA256[m]
 
-    @pytest.mark.parametrize("cfg", MEMO_CONFIGS, ids=memo_id)
+    @pytest.mark.parametrize("cfg", MEMO_CONFIGS, ids=config_id)
     def test_period_zero_kernel_is_the_identity(self, cfg):
         # the unit kernel scaled by |c|^2 + |d|^2, which rounds to
         # 0.9999999999999998 for the symmetric state

@@ -119,11 +119,20 @@ class TestMultiplication:
         b = LaurentOperator({-1: np.sqrt(p)})
         assert (a * b).isclose(LaurentOperator({0: p}))
 
-    @pytest.mark.parametrize("scalar", [2.0, 0.5j])
+    @pytest.mark.parametrize("scalar", [
+        2, 2.0, 0.5j, 0.3 - 0.7j, np.float32(0.3), np.float64(1.0 / 3.0),
+        np.complex64(0.6 + 0.8j), np.complex64(0.3 - 0.7j), np.complex128(0.6 + 0.8j), -0.0,
+    ], ids=["int", "2.0", "0.5j", "complex", "float32", "float64", "complex64",
+            "complex64-b", "complex128", "-0.0"])
     def test_scalar_on_the_right_equals_scalar_on_the_left(self, scalar):
-        op = LaurentOperator({-1: 0.3 - 0.1j, 0: 1.0 / 3.0, 2: 1.5j})
-        right, left = op * scalar, scalar * op
-        assert (right.lo, right.values.tobytes()) == (left.lo, left.values.tobytes())
+        # one rule for every scalar kind: Python's complex product per coefficient
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(41) + 1j * rng.standard_normal(41)
+        values[1:6] = [complex(-0.0, 1.0), complex(1.0, -0.0), -0.5, 0j, complex(-0.0, -0.0)]
+        op = LaurentOperator((-20, values))
+        want = LaurentOperator((op.lo, [complex(scalar) * x for x in op.values.tolist()]))
+        for got in (op * scalar, scalar * op):
+            assert (got.lo, got.values.tobytes()) == (want.lo, want.values.tobytes())
 
     @given(operators(), operators())
     def test_commutative(self, a, b):
@@ -157,6 +166,14 @@ class TestHadamardConj:
 
     def test_disjoint_supports_vanish(self):
         assert E_PLUS.hadamard_conj(E_MINUS).is_zero
+
+    @given(operators(), operators())
+    def test_rounds_like_the_scalar_product_with_the_conjugate(self, a, b):
+        lo = max(a.lo, b.lo)
+        hi = min(a.lo + a.values.size, b.lo + b.values.size)
+        want = LaurentOperator((lo, [a[k] * b[k].conjugate() for k in range(lo, hi)]))
+        got = a.hadamard_conj(b)
+        assert (got.lo, got.values.tobytes()) == (want.lo, want.values.tobytes())
 
     def test_matches_dense_entrywise_product(self):
         rng = np.random.default_rng(7)
