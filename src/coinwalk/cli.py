@@ -103,8 +103,8 @@ def build_config(args) -> WalkConfig:
 
 
 #: Characters handed to the output stream per write.  A text stream encodes
-#: each write into a new bytes object, so writing a whole table at once
-#: would hold a second copy of it (about 22 MB for a 1200-step CSV).
+#: each write into a new bytes object, so writing a one-piece output at once
+#: would hold a second copy of it (about 32 MB for a 1200-step ``--emit json``).
 _WRITE_CHUNK = 1 << 20
 
 

@@ -24,7 +24,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .laurent import (IDENTITY, CoinBlock, E_MINUS, E_PLUS, FiniteSequence, LaurentOperator,
-                      window_sum)
+                      _binary_power, _product_2x2, window_sum)
 
 #: Normalization slack of the initial coin state, |c|^2 + |d|^2 - 1.
 NORM_TOL = 1e-12
@@ -418,21 +418,15 @@ def _walk_symbol(config: WalkConfig, n: int, size: int) -> np.ndarray:
     (times e^{ikn}): there a right move is 1 and a left move
     z = e^{2ik} = e^{-2 pi i l / size}, so for ``size`` > n row j is
     ``fft(a)`` of the coin-j amplitudes a[i] at site n - 2i.  The batched
-    2x2 symbol diag(1, z) U is raised to the n-th power by binary powering,
-    applied to the vector, and each column is rescaled to |c|^2 + |d|^2.
+    2x2 symbol diag(1, z) U is powered onto the column (c, d) by binary
+    powering, and each column is rescaled to |c|^2 + |d|^2.
     """
     u = config.coin_unitary
     l = np.arange(size)
     z = np.exp(-2j * np.pi / size * np.where(2 * l > size, l - size, l))  # |angle| <= pi
-    (b00, b01), (b10, b11) = (u[0, 0], u[0, 1]), (u[1, 0] * z, u[1, 1] * z)
-    v0, v1 = np.full(size, config.c), np.full(size, config.d)
-    while n:
-        if n & 1:
-            v0, v1 = b00 * v0 + b01 * v1, b10 * v0 + b11 * v1
-        n >>= 1
-        if n:
-            b00, b01, b10, b11 = (b00 * b00 + b01 * b10, b00 * b01 + b01 * b11,
-                                  b10 * b00 + b11 * b10, b10 * b01 + b11 * b11)
+    symbol = ((u[0, 0], u[0, 1]), (u[1, 0] * z, u[1, 1] * z))
+    column = ((np.full(size, config.c),), (np.full(size, config.d),))
+    (v0,), (v1,) = _binary_power(lambda v, b: _product_2x2(b, v), symbol, n, column)
     psi = np.stack([v0, v1])
     psi *= np.sqrt(config._norm / (psi.real ** 2 + psi.imag ** 2).sum(axis=0))
     return psi
@@ -585,14 +579,8 @@ def cp_distribution(config: WalkConfig, m: int, n_iterations: int) -> SiteDistri
         shifted = rows[:, size - stop + 1 : size - start + 1][:, ::-1]
         base = a[0] * shifted[0]
         base += a[1] * shifted[1]
-        power = np.ones_like(base)
-        k = n_iterations
-        while k:
-            if k & 1:
-                power *= base
-            k >>= 1
-            if k:
-                base *= base
+        power = _binary_power(lambda x, y: np.multiply(x, y, out=x), base, n_iterations,
+                              np.ones_like(base))
         spectrum[start:stop] = power.mean(axis=1)
     # the trace: M(k, k) is 1 up to rounding, which the n-th power multiplies by n
     spectrum[0] = 1.0

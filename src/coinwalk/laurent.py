@@ -243,21 +243,28 @@ class CoinBlock:
     def __matmul__(self, other: "CoinBlock") -> "CoinBlock":
         if not isinstance(other, CoinBlock):
             return NotImplemented
-        out = [[None, None], [None, None]]
-        for r in (0, 1):
-            for c in (0, 1):
-                out[r][c] = self[r, 0] * other[0, c] + self[r, 1] * other[1, c]
-        return CoinBlock(out)
+        return CoinBlock(_product_2x2(self._entries, other._entries))
 
     def power(self, n: int) -> "CoinBlock":
         """Block power by binary exponentiation; n = 0 gives the identity block."""
         if n < 0:
             raise ValueError(f"negative block power: {n}")
-        result, base = CoinBlock.identity(), self
-        while n:
-            if n & 1:
-                result = result @ base
-            n >>= 1
-            if n:
-                base = base @ base
-        return result
+        return _binary_power(CoinBlock.__matmul__, self, n, CoinBlock.identity())
+
+
+def _product_2x2(x, y) -> tuple:
+    """x y for x 2x2 and y 2xk, as rows: (r, c) is x[r][0] y[0][c] + x[r][1] y[1][c], in order."""
+    return tuple([x0 * a + x1 * b for a, b in zip(*y)] for x0, x1 in x)
+
+
+def _binary_power(times, base, n: int, acc):
+    """acc times base^n: for each set bit of n, lowest first, ``acc = times(acc, base)``,
+    with ``base = times(base, base)`` after each bit of n but the highest.
+    """
+    while n:
+        if n & 1:
+            acc = times(acc, base)
+        n >>= 1
+        if n:
+            base = times(base, base)
+    return acc

@@ -89,10 +89,12 @@ def suite_stochastic(max_steps: int, tol: float | None = None) -> list[dict]:
     tol = 1e-12 if tol is None else tol
     checks = []
     for params, cfg in _grid(steps=f"0..{max_steps}"):
-        # n = 2 is also the period-2 delayed kernel, checked at every max_steps
-        powers = [quantum_kernel(cfg, n) for n in range(max(max_steps, 2) + 1)]
-        null_sum = [phi_matrix(cfg)]
-        null_sum += [reshuffling_matrix(cfg, i) for i in range(1, max_steps + 1)]
+        # kernel n and term n + 1 share a Kraus pair; the period-2 kernel is always checked
+        powers, null_sum = [], [phi_matrix(cfg)]
+        for n in range(max(max_steps, 2) + 1):
+            powers.append(quantum_kernel(cfg, n))
+            if n < max_steps:
+                null_sum.append(reshuffling_matrix(cfg, n + 1))
         checks += [
             _check("quantum-kernel-unit-sum", params,
                    _worst(abs(k.coefficient_sum - 1.0) for k in powers), tol),

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -893,3 +895,31 @@ class TestComplexParsing:
     def test_coin_pair(self):
         c, d = cli.parse_coin(SYM_COIN)
         assert abs(c) ** 2 + abs(d) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+#: Functions whose traced call counts the benchmark reads, each called at least
+#: once by one of TRACED_COMMANDS.
+TRACED_FUNCTIONS = (
+    "laurent.CoinBlock.__matmul__", "engine.SiteDistribution.__init__", "engine.cp_apply",
+    "engine.kraus_pair", "kernels.RealKernel.convolve", "analysis.shannon_entropy",
+    "verify.run_suite", "cli._fmt", "cli._write",
+)
+TRACED_COMMANDS = (["verify", "all", "--max-steps", "3"],
+                   ["analyze", "entropy", "--symmetric", "--steps", "5"])
+
+
+class TestBenchmarkTracer:
+    def test_tracer_counts_the_program(self, tmp_path):
+        # a refactor that renames or bypasses a traced function reads 0 here,
+        # not a smaller number in the benchmark's per-layer metrics
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        calls = dict.fromkeys(TRACED_FUNCTIONS, 0)
+        for k, argv in enumerate(TRACED_COMMANDS):
+            stats = tmp_path / f"stats{k}.json"
+            subprocess.run([sys.executable, "perfbench/tracer.py", str(stats), *argv],
+                           cwd=REPO, env=env, check=True, capture_output=True)
+            traced = json.loads(stats.read_text())
+            assert "trace.count_errors" not in traced["counts"], argv
+            for name in TRACED_FUNCTIONS:
+                calls[name] += traced["functions"].get(name, [0])[0]
+        assert all(calls.values()), calls

@@ -785,6 +785,45 @@ class TestCpIterateBits:
         assert digest.hexdigest() == CP_ITERATE_SHA256[coin, p, m, n]
 
 
+#: The momentum-space digest grid: the biases of P_GRID, 0 and 1, each with the
+#: states c=0,d=1, c=1,d=0, symmetric and c=0.6+0.48i,d=0.64i; ten Haar-random
+#: coins with random states; and the phased coin with the complex state.
+DIGEST_CONFIGS = [
+    *(cfg for p in (0.0, *P_GRID, 1.0)
+      for cfg in (WalkConfig(c=0.0, d=1.0, p=p), WalkConfig(c=1.0, d=0.0, p=p),
+                  WalkConfig.symmetric(p), WalkConfig(c=0.6 + 0.48j, d=0.64j, p=p))),
+    *(random_unitary_config(seed) for seed in range(10)),
+    WalkConfig(c=0.6 + 0.48j, d=0.64j, coin=PHASED_COIN),
+]
+#: sha256 over DIGEST_CONFIGS in order, then the step counts, of each
+#: distribution's ``repr(lo)`` and ``values.tobytes()``; recorded when the walk
+#: symbol and M(k, k')^n were each raised by a binary-powering loop of their own.
+MOMENTUM_SHA256 = {
+    # global_distribution(cfg, n), n in (0, 1, 2, 7, 60, 257)
+    "global": "d7f42954c4295ad72b22a37ce57489229f343abec25869b5a8da99d531195686",
+    # cp_distribution(cfg, m, n), m in (1, 2, 3), n in (0, 1, 5, 40)
+    "cp": "cc3f440d56db1d7078825eff617e5c41d8fae1c83b71c5f9f7d326b51e870745",
+}
+
+
+class TestMomentumDigests:
+    """The momentum-space answers bit for bit; the stepping checks hold only within 1e-12."""
+
+    @pytest.mark.parametrize("scheme", MOMENTUM_SHA256)
+    def test_distributions_keep_their_bits(self, scheme):
+        if scheme == "global":
+            dists = (global_distribution(cfg, n)
+                     for cfg in DIGEST_CONFIGS for n in (0, 1, 2, 7, 60, 257))
+        else:
+            dists = (cp_distribution(cfg, m, n)
+                     for cfg in DIGEST_CONFIGS for m in (1, 2, 3) for n in (0, 1, 5, 40))
+        digest = hashlib.sha256()
+        for dist in dists:
+            digest.update(repr(dist.lo).encode())
+            digest.update(dist.values.tobytes())
+        assert digest.hexdigest() == MOMENTUM_SHA256[scheme]
+
+
 class TestErrorKinds:
     """Checks on computed values raise NumericalError; malformed input a plain ValueError."""
 

@@ -598,6 +598,11 @@ SUITE_COLD_MISSES = {
     "analysis": (2, 2, 0, 0),
 }
 
+#: sha256 of ``verify stochastic --max-steps 260``'s report, recorded when the
+#: suite built every quantum kernel before every reshuffling term.
+STOCHASTIC_260_SHA256 = "7f44947a33c7452830be03865fd1fac8febc10e399e3417171f8364c03c23c45"
+
+
 def clear_memos():
     for fn in (*MEMOISED.values(), _step_power):
         fn.cache_clear()
@@ -718,6 +723,16 @@ class TestMemo:
         run_suite(suite, 14)
         fns = (kraus_pair, _step_power, quantum_kernel, mixing_matrix)
         assert tuple(fn.cache_info().misses for fn in fns) == SUITE_COLD_MISSES[suite]
+
+    def test_stochastic_builds_each_kraus_pair_once(self):
+        # kernel n and reshuffling term n + 1 read Kraus pair n; read in two
+        # passes, the 261 pairs of a config outran the 256-entry memo and a cold
+        # run made 4,160 kraus_pair and 2,628 _step_power misses
+        clear_memos()
+        report = run_suite("stochastic", 260)
+        assert (kraus_pair.cache_info().misses, _step_power.cache_info().misses) == (2088, 1580)
+        text = json.dumps(report, indent=2) + "\n"  # the bytes of the CLI's report
+        assert hashlib.sha256(text.encode()).hexdigest() == STOCHASTIC_260_SHA256
 
     def test_verify_twice_is_byte_identical_to_a_cold_run(self):
         clear_memos()
