@@ -302,7 +302,7 @@ def _trim_window(mat: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
 
 def build_step_operator(config: WalkConfig) -> CoinBlock:
     """The one-step coin-walker unitary as a 2x2 block of shift operators."""
-    return _step_power(config.coin_unitary.tobytes(), 1)
+    return _step_power(config._unitary_bytes, 1)
 
 
 @memoised
@@ -314,7 +314,7 @@ def kraus_pair(config: WalkConfig, n: int) -> tuple[LaurentOperator, LaurentOper
     relation in both operator orders (they are normal).  Memoised.
     """
     _check_steps(n)
-    block = _step_power(config.coin_unitary.tobytes(), n)
+    block = _step_power(config._unitary_bytes, n)
     a0 = config.c * block[0, 0] + config.d * block[0, 1]
     a1 = config.c * block[1, 0] + config.d * block[1, 1]
     return a0, a1

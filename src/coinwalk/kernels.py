@@ -138,9 +138,8 @@ def quantum_kernel(config: WalkConfig, n: int) -> RealKernel:
     return RealKernel.from_laurent(op, "stochastic")
 
 
-@memoised
 def mixing_matrix(config: WalkConfig, i: int) -> RealKernel:
-    """The inhomogeneous mixing term of the kernel recurrence at step i.  Memoised."""
+    """The inhomogeneous mixing term of the kernel recurrence at step i."""
     _check_steps(i)
     if i == 0:
         return RealKernel({})
@@ -151,8 +150,9 @@ def mixing_matrix(config: WalkConfig, i: int) -> RealKernel:
     return RealKernel.from_laurent(op)
 
 
+@memoised
 def reshuffling_matrix(config: WalkConfig, i: int) -> RealKernel:
-    """The null-sum kernel weighting the (n-i)-step classical distribution."""
+    """The null-sum kernel weighting the (n-i)-step classical distribution.  Memoised."""
     if i < 1:
         raise ValueError(f"reshuffling index must be at least 1, got {i}")
     return SHIFT_DIFFERENCE.convolve(mixing_matrix(config, i - 1))
@@ -270,10 +270,10 @@ def pseudo_memory_reconstruct(config: WalkConfig, n: int) -> SiteDistribution:
 def _powers(kernel: RealKernel, n: int) -> list[RealKernel]:
     """kernel^0, ..., kernel^n, one convolution each.
 
-    They start from the kindless unit kernel, so they carry no kind and skip
-    the stochastic re-check: the tails trimmed off each power of a stochastic
-    kernel add up to 1.8e-12 of the mass by n = 400, beyond that check's
-    rounding bound.
+    They start from the kindless unit kernel, so powers of a stochastic kernel
+    carry no kind and skip the stochastic re-check: the tails trimmed off each
+    add up to 1.8e-12 of the mass by n = 400, beyond that check's rounding
+    bound.  Powers of a null-sum kernel carry "null-sum" and are re-checked.
     """
     powers = [RealKernel({0: 1.0})]
     for _ in range(n):

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -802,14 +803,20 @@ class TestVerify:
         with pytest.raises(ValueError, match=match):
             run_suite(suite, max_steps)
 
+    @pytest.mark.parametrize("suite", verify.SUITES)
+    def test_no_tolerance_is_the_suites_signature_default(self, suite):
+        # a run without --tol reports each suite under its signature default
+        default = inspect.signature(verify.SUITES[suite]).parameters["tol"].default
+        assert run_suite(suite, 6) == run_suite(suite, 6, default)
+
     @pytest.mark.parametrize("suite", ["memory", "all"])
     def test_numerical_failure_is_a_failing_check(self, tmp_path, monkeypatch, suite):
         # the report is still written, and the other suites still run
-        def raising(max_steps, tol):
+        def raising(max_steps, tol=1e-10):
             raise NumericalError("probabilities sum to 0.5, not 1", 0.5, 1e-12)
 
         others = [c for name, fn in verify.SUITES.items() if suite == "all" and name != "memory"
-                  for c in json.loads(json.dumps(fn(3, None)))]
+                  for c in json.loads(json.dumps(list(fn(3))))]
         monkeypatch.setitem(verify.SUITES, "memory", raising)
         path = tmp_path / "report.json"
         assert cli.main(["verify", suite, "--max-steps", "3", "--out", str(path)]) == 1
@@ -823,9 +830,18 @@ class TestVerify:
         assert [c for c in report["checks"] if c != failure] == others
         assert report["checks"].count(failure) == 1
 
+    def test_numerical_failure_drops_the_suites_partial_records(self, monkeypatch):
+        def failing(max_steps, tol=1e-10):
+            yield verify._holds("before-the-failure", {}, True)
+            raise NumericalError("probabilities sum to 0.5, not 1", 0.5, 1e-12)
+
+        monkeypatch.setitem(verify.SUITES, "memory", failing)
+        [failure] = run_suite("memory", 3)["checks"]
+        assert failure["name"] == "memory-numerical-failure"
+
     def test_numerical_failure_reports_what_it_measured(self, monkeypatch):
         # a check that really fails: its measured value and bound are the record's
-        def failing(max_steps, tol):
+        def failing(max_steps, tol=1e-10):
             return [SiteDistribution((0, np.array([0.5])))]
 
         monkeypatch.setitem(verify.SUITES, "memory", failing)
@@ -835,7 +851,7 @@ class TestVerify:
 
     def test_numerical_failure_of_a_nan_is_valid_json(self, monkeypatch):
         # NaN fails the check; the report writes the number it cannot hold as null
-        def failing(max_steps, tol):
+        def failing(max_steps, tol=1e-10):
             return [RealKernel((0, [0.5, math.nan, 0.5]), "stochastic")]
 
         monkeypatch.setitem(verify.SUITES, "memory", failing)

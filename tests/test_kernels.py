@@ -580,14 +580,14 @@ class TestKernelCpDivergence:
 
 #: Every memoised construction; ``clear_memos`` also clears the step powers beneath them.
 MEMOISED = {"kraus_pair": kraus_pair, "quantum_kernel": quantum_kernel,
-            "mixing_matrix": mixing_matrix}
+            "reshuffling_matrix": reshuffling_matrix}
 MEMO_CONFIGS = [
     *(WalkConfig(c=cd[0], d=cd[1], p=p) for p in P_GRID for cd in COIN_INITS),
     *(WalkConfig(c=cd[0], d=cd[1], coin=PHASED_COIN) for cd in COIN_INITS),
 ]
 
 
-#: Misses of kraus_pair, _step_power, quantum_kernel and mixing_matrix in one
+#: Misses of kraus_pair, _step_power, quantum_kernel and reshuffling_matrix in one
 #: run_suite(suite, 14) from cleared memos.
 SUITE_COLD_MISSES = {
     "kraus": (120, 60, 0, 0),
@@ -601,11 +601,19 @@ SUITE_COLD_MISSES = {
 #: sha256 of ``verify stochastic --max-steps 260``'s report, recorded when the
 #: suite built every quantum kernel before every reshuffling term.
 STOCHASTIC_260_SHA256 = "7f44947a33c7452830be03865fd1fac8febc10e399e3417171f8364c03c23c45"
+#: sha256 of ``verify memory --max-steps 100``'s report, recorded when the
+#: mixing term, not the reshuffling term, was memoised.
+MEMORY_100_SHA256 = "4f9df47db043b82c28a28ea866dd768b400981d2aee4ec997e04084a3b905181"
 
 
 def clear_memos():
     for fn in (*MEMOISED.values(), _step_power):
         fn.cache_clear()
+
+
+def memo_indices(name, stop):
+    """The indices below ``stop`` that a memoised construction takes: reshuffling's start at 1."""
+    return range(name == "reshuffling_matrix", stop)
 
 
 def bits(value):
@@ -619,18 +627,18 @@ class TestMemo:
     @pytest.mark.parametrize("name,cfg", [
         pytest.param(name, cfg, id=f"{name}-{config_id(cfg)}")
         for name in MEMOISED for cfg in MEMO_CONFIGS
-        if cfg.p is not None or name != "mixing_matrix"  # it needs the one-parameter coin
+        if cfg.p is not None or name != "reshuffling_matrix"  # it needs the one-parameter coin
     ])
     def test_warm_equals_cold(self, name, cfg):
-        fn = MEMOISED[name]
+        fn, indices = MEMOISED[name], memo_indices(name, 21)
         clear_memos()
-        cold = [bits(fn(cfg, n)) for n in range(21)]
+        cold = [bits(fn(cfg, n)) for n in indices]
         hits = fn.cache_info().hits
         twin = WalkConfig(c=cfg.c, d=cfg.d, p=cfg.p, coin=cfg.coin)
-        assert [bits(fn(twin, n)) for n in range(21)] == cold
-        assert fn.cache_info().hits == hits + 21
+        assert [bits(fn(twin, n)) for n in indices] == cold
+        assert fn.cache_info().hits == hits + len(indices)
         clear_memos()
-        assert [bits(fn(cfg, n)) for n in reversed(range(21))] == cold[::-1]
+        assert [bits(fn(cfg, n)) for n in reversed(indices)] == cold[::-1]
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_symmetric_and_hand_built_configs_agree(self, p):
@@ -643,7 +651,7 @@ class TestMemo:
             results = []
             for cfg in (sym, same, plain):
                 clear_memos()
-                results.append([bits(fn(cfg, n)) for n in range(13)])
+                results.append([bits(fn(cfg, n)) for n in memo_indices(name, 13)])
             assert results[0] == results[1] == results[2], name
             assert fn(same, 12) is fn(sym, 12) and fn(plain, 12) is fn(sym, 12), name
 
@@ -682,8 +690,9 @@ class TestMemo:
         results = []
         for cfg in configs:
             clear_memos()
-            built = [bits(fn(cfg, n)) for name, fn in MEMOISED.items() for n in range(13)
-                     if cfg.p is not None or name != "mixing_matrix"]
+            built = [bits(fn(cfg, n)) for name, fn in MEMOISED.items()
+                     for n in memo_indices(name, 13)
+                     if cfg.p is not None or name != "reshuffling_matrix"]
             built += [bits(dist) for scheme in SCHEMES for m in (1, 2, 3)
                       for dist in walk_steps(cfg, scheme, 12, m)]
             built += [bits(global_distribution(cfg, n)) for n in (0, 1, 12)]
@@ -714,14 +723,14 @@ class TestMemo:
         clear_memos()
         run_suite("all", 14)
         assert kraus_pair.cache_info().misses == 135
-        assert mixing_matrix.cache_info().misses == 127
+        assert reshuffling_matrix.cache_info().misses == 127
 
     @pytest.mark.parametrize("suite", SUITES)
     def test_each_suite_cold_cache_misses(self, suite):
         # a suite restructured to build fewer walk parameters shows it here
         clear_memos()
         run_suite(suite, 14)
-        fns = (kraus_pair, _step_power, quantum_kernel, mixing_matrix)
+        fns = (kraus_pair, _step_power, quantum_kernel, reshuffling_matrix)
         assert tuple(fn.cache_info().misses for fn in fns) == SUITE_COLD_MISSES[suite]
 
     def test_stochastic_builds_each_kraus_pair_once(self):
@@ -733,6 +742,17 @@ class TestMemo:
         assert (kraus_pair.cache_info().misses, _step_power.cache_info().misses) == (2088, 1580)
         text = json.dumps(report, indent=2) + "\n"  # the bytes of the CLI's report
         assert hashlib.sha256(text.encode()).hexdigest() == STOCHASTIC_260_SHA256
+
+    def test_memory_builds_each_reshuffling_term_once(self):
+        # reconstruction n re-reads the terms 2..n of its config; built per
+        # read, or memoised beneath the term instead of on it, each read
+        # would convolve and re-check the term again
+        clear_memos()
+        report = run_suite("memory", 100)
+        info = reshuffling_matrix.cache_info()
+        assert (info.hits, info.misses) == (24304, 502)
+        text = json.dumps(report, indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == MEMORY_100_SHA256
 
     def test_verify_twice_is_byte_identical_to_a_cold_run(self):
         clear_memos()
