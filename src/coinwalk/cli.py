@@ -12,6 +12,7 @@ All output is deterministic: identical invocations give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -20,6 +21,8 @@ import shutil
 import sys
 import tempfile
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from . import analysis, svgplot
 from .engine import NumericalError, SiteDistribution, WalkConfig
@@ -31,19 +34,111 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _rows(step: int, template: str, *columns: list) -> str:
-    """One CSV line ``f"{step},{template % row}"`` per row of the columns.
+#: Rows per pass of :func:`_render`; a pass may end inside a step.
+_CHUNK = 1024
 
-    The lines are rendered by a single ``%`` operation on the interleaved
-    columns.  ``"%.17g" % x`` prints x through the same CPython routine as
-    ``_fmt(x)`` (``PyOS_double_to_string(x, 'g', 17, ...)``), so the bytes
-    are the same as one ``_fmt`` call per value.
+
+@functools.cache
+def _tables() -> dict:
+    """:func:`_render`'s lookup tables.  ``words[10**4 * m + g]``: g's four digits as a
+    uint32 of characters, NUL for each dropped trailing (m = 0) or leading (m = 2) zero.
+    By s = 16 - k for x = d.ddd × 10**k: ``head[20 * s + 10 * dot + d]``, "," to the dot;
+    ``tail[last][s]``, the exponent and "\\n"; ``p10[:, s]``, 10**s as hi, hi's Veltkamp
+    halves, and lo = float(10**s - hi).
     """
-    width, k = len(columns), len(columns[0])
-    flat = [None] * (width * k)
-    for i, column in enumerate(columns):
-        flat[i::width] = column
-    return (f"{step},{template}\n" * k) % tuple(flat)
+    g = np.arange(10**4)[:, None]
+    digits = (g // 10 ** np.arange(3, -1, -1) % 10 + 48).astype(np.uint8)
+    kept = (g % 10 ** np.arange(4, 0, -1) != 0, True, g >= [1000, 100, 10, 0])
+    words = np.concatenate([(digits * keep).view(np.uint32).ravel() for keep in kept])
+    head = [f",0.{'0' * (s - 17)}{d}" if s < 21 else f",{d}{'.' * dot}"
+            for s in range(299) for dot in (0, 1) for d in range(10)]
+    tail = [[f"e-{s - 16:02d}" * (s > 20) + end for s in range(299)] for end in ("", "\n")]
+    hi = np.array([float(10**s) for s in range(299)])
+    lo = [float(10**s - int(h)) for s, h in enumerate(hi)]
+    c = hi * 134217729.0  # 2**27 + 1: Veltkamp's split
+    hi_hi = c - (c - hi)
+    return {"words": words, "head": np.array(head, "S8").view(np.uint64),
+            "tail": [np.array(t, "S8").view(np.uint64) for t in tail],
+            "p10": np.array([hi, hi_hi, hi - hi_hi, lo])}
+
+
+def _int_words(v: np.ndarray, words: np.ndarray) -> list[np.ndarray]:
+    """``"%d" % v`` for integers v >= 0, as a uint32 word per four digits."""
+    if v.max() < 10**4:
+        return [words[v + 2 * 10**4]]
+    groups = []
+    for p in [10**i for i in range((len(str(v.max())) - 1) // 4 * 4, -1, -4)]:
+        # all four digits after a nonzero group, else leading zeros dropped, and none before
+        lead = np.where((v >= p) | (p == 1), 2 * 10**4, 0)
+        groups.append(words[v // p % 10**4 + np.where(v >= p * 10**4, 10**4, lead)])
+    return groups
+
+
+def _fraction_words(x: np.ndarray, last: bool, out: np.ndarray, tables: dict) -> None:
+    """Write ``",%.17g" % x`` (and "\\n" if ``last``) to the 8 uint32 words of ``out``.
+
+    For x in [1e-280, 1) the digits D are x * 10**s rounded, s guessed by log10 and
+    x * 10**s formed as a double-double by Dekker's two-product.  ``%`` prints the other
+    rows, rows within 1e-6 of a tie, and rows whose D is not in (1e16, 1e17): log10
+    missed the decade, or D = 1e16 may have been rounded up from the decade below.
+    """
+    y = np.where((x >= 1e-280) & (x < 1), x, 1.0)  # 1.0 gets the digits 10**16
+    s = 16 - np.floor(np.log10(y)).astype(np.int64)
+    big, big_hi, big_lo, small = (row.take(s) for row in tables["p10"])
+    hi = y * big
+    c = y * 134217729.0
+    y_hi = c - (c - y)
+    y_lo = y - y_hi
+    lo = ((y_hi * big_hi - hi) + y_hi * big_lo + y_lo * big_hi) + y_lo * big_lo + y * small
+    up = np.floor(lo + 0.5)
+    rest = hi.astype(np.int64) + up.astype(np.int64)
+    slow = np.flatnonzero((rest <= 10**16) | (rest >= 10**17) | (np.abs(lo - up) > 0.5 - 1e-6))
+    lead = rest // 10**16
+    rest -= lead * 10**16
+    dot = rest != 0
+    for j, p in enumerate((10**12, 10**8, 10**4)):
+        g = rest // p
+        rest -= g * p
+        out[:, 2 + j] = tables["words"][g + 10**4 * (rest != 0)]  # trailing zeros dropped
+    out[:, 5] = tables["words"][rest]
+    # clipped: only a row that % prints has a lead digit past 9
+    out.view(np.uint64)[:, 0] = tables["head"].take(s * 20 + dot * 10 + lead, mode="clip")
+    out.view(np.uint64)[:, 3] = tables["tail"][last][s]
+    if slow.size:
+        text = [(",%.17g" + "\n" * last) % v for v in x[slow].tolist()]
+        out[slow] = np.array(text, "S32").view(np.uint32).reshape(-1, 8)
+
+
+def _render(step: np.ndarray, ints: np.ndarray, *values: np.ndarray) -> str:
+    """The lines ``"%d,%d" + ",%.17g" * len(values)``, laid out as uint32 words, NULs dropped."""
+    tables = _tables()
+    sign = np.where(ints < 0, *np.frombuffer(b",-\0\0,\0\0\0", np.uint32))
+    columns = [*_int_words(step, tables["words"]), sign, *_int_words(abs(ints), tables["words"])]
+    at = len(columns) + len(columns) % 2  # the fractions' 8-byte words aligned
+    frame = np.zeros((len(step), at + 8 * len(values)), np.uint32)
+    frame[:, :len(columns)] = np.stack(columns, 1)
+    for i, x in enumerate(values):
+        _fraction_words(x, i == len(values) - 1, frame[:, at + 8 * i:at + 8 * i + 8], tables)
+    return frame.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _table(header: str, steps: Iterable[tuple]) -> Iterator[str]:
+    """The header, then the lines of ``(step, ints, *floats)``, a ``_CHUNK`` buffer at a time."""
+    yield header
+    chunk, fill = [], 0
+    for step, *columns in steps:
+        columns = [np.broadcast_to(step, len(columns[0])), *columns]
+        chunk = chunk or [np.empty(_CHUNK, int if i < 2 else float) for i in range(len(columns))]
+        while len(columns[0]):
+            take = min(_CHUNK - fill, len(columns[0]))
+            for buffer, column in zip(chunk, columns):
+                buffer[fill:fill + take] = column[:take]
+            columns, fill = [column[take:] for column in columns], fill + take
+            if fill == _CHUNK:
+                yield _render(*chunk)
+                fill = 0
+    if fill:
+        yield _render(*(buffer[:fill] for buffer in chunk))
 
 
 def _fmt_complex(z: complex) -> str:
@@ -165,19 +260,14 @@ def _config_record(config: WalkConfig, scheme: str, m: int) -> dict:
 
 
 def _site_table(trajectory: Iterable[SiteDistribution]) -> Iterator[str]:
-    yield "step,site,probability\n"
-    for n, dist in enumerate(trajectory):
-        sites, probs = dist.to_arrays()
-        yield _rows(n, "%d,%.17g", sites.tolist(), probs.tolist())
+    return _table("step,site,probability\n",
+                  ((n, *dist.to_arrays()) for n, dist in enumerate(trajectory)))
 
 
 def _lorenz_table(trajectory: Iterable[SiteDistribution]) -> Iterator[str]:
-    yield "step,n,n_over_N,gamma\n"
-    for step, dist in enumerate(trajectory):
-        curve = analysis.lorenz_curve(dist)
-        fractions = curve.fractions.tolist()
-        yield _rows(step, "%d,%.17g,%.17g", range(len(fractions)),
-                    fractions, curve.gammas.tolist())
+    curves = enumerate(map(analysis.lorenz_curve, trajectory))
+    return _table("step,n,n_over_N,gamma\n",
+                  ((n, np.arange(c.fractions.size), c.fractions, c.gammas) for n, c in curves))
 
 
 def cmd_simulate(args) -> tuple[int, Iterable[str]]:

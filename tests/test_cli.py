@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from coinwalk import cli, verify
-from coinwalk.engine import NumericalError, SiteDistribution
-from coinwalk.kernels import RealKernel
+from coinwalk.engine import NumericalError, SiteDistribution, WalkConfig
+from coinwalk.kernels import RealKernel, walk_steps
 from coinwalk.verify import run_suite
 
 REPO = Path(__file__).resolve().parent.parent
@@ -385,16 +385,18 @@ class TestTrajectoryByteIdentity:
         assert cli.main(argv) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == TRAJECTORY_SHA256[key]
 
-    def test_long_global_csv_matches_benchmark_digest(self, tmp_path):
+    @pytest.mark.parametrize("p, coin, args", [("0.5", "symmetric", ["--symmetric"]),
+                                               ("0.25", "c=0,d=1", ["--coin", "c=0,d=1"])])
+    def test_long_global_csv_matches_benchmark_digest(self, tmp_path, p, coin, args):
         # the benchmark's recorded sha256 of this 1200-step trajectory (read only)
         recorded = json.loads(
             (REPO / "perfbench" / "reference" / "cli_sha256.json").read_text()
         )
         path = tmp_path / "walk.csv"
         cli.main(["simulate", "--scheme", "global", "--steps", "1200", "--emit", "csv",
-                  "--p", "0.5", "--symmetric", "--out", str(path)])
+                  "--p", p, *args, "--out", str(path)])
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == recorded["simulate-global-csv|p=0.5,coin=symmetric"]
+        assert digest == recorded[f"simulate-global-csv|p={p},coin={coin}"]
 
     def test_long_entropy_matches_benchmark_digest(self, tmp_path):
         # the benchmark's recorded sha256 of this 1500-step table (read only);
@@ -417,10 +419,18 @@ class TestTrajectoryByteIdentity:
 
 
 #: Floats whose 17-digit forms are edge cases: signed zero, the smallest
-#: subnormal, the float below 1, exponent forms and huge magnitudes.
+#: subnormal, the float below 1, exponent forms and huge magnitudes; exact
+#: ties (9 and 3 times 2**-24), the float 1e-280 (9.9999999999999996e-281)
+#: and the floats either side of 1e-4 and 1e-5, where the decade changes.
 _EDGE_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1 - 2**-53,
-                1e-05, 1e-4, 1e16, 1.7976931348623157e308, 0.1, 1.0 / 3.0]
+                1e-05, 1e-4, 1e16, 1.7976931348623157e308, 0.1, 1.0 / 3.0,
+                9 * 2**-24, 3 * 2**-24, 1e-280, math.nextafter(1e-4, 0),
+                math.nextafter(1e-5, 1), 1.0, math.inf]
 _ANY_FLOAT = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False))
+
+
+def _one_step(step, *columns) -> str:
+    return "".join(cli._table("", [(step, *columns)]))
 
 
 class TestRows:
@@ -432,7 +442,7 @@ class TestRows:
         sites = [s for s, _ in rows]
         probs = [x for _, x in rows]
         old = "".join(f"{step},{site},{cli._fmt(p)}\n" for site, p in rows)
-        assert cli._rows(step, "%d,%.17g", sites, probs) == old
+        assert _one_step(step, sites, probs) == old
 
     @given(st.integers(0, 5000), st.lists(st.tuples(_ANY_FLOAT, _ANY_FLOAT), max_size=30))
     @example(7, list(zip(_EDGE_FLOATS, reversed(_EDGE_FLOATS))))
@@ -441,8 +451,31 @@ class TestRows:
         gammas = [g for _, g in pairs]
         old = "".join(f"{step},{n},{cli._fmt(f)},{cli._fmt(g)}\n"
                       for n, (f, g) in enumerate(pairs))
-        got = cli._rows(step, "%d,%.17g,%.17g", range(len(pairs)), fractions, gammas)
-        assert got == old
+        assert _one_step(step, range(len(pairs)), fractions, gammas) == old
+
+    @given(st.lists(st.floats(1e-280, 1.0, exclude_max=True), min_size=1, max_size=300))
+    def test_fractions_match_per_value_lines(self, probs):
+        # the range printed from the double-double digits rather than by ``%``
+        old = "".join(f"2,{site},{cli._fmt(p)}\n" for site, p in enumerate(probs))
+        assert _one_step(2, range(len(probs)), probs) == old
+
+    @pytest.mark.parametrize("x, text", [
+        (9 * 2**-24, "5.3644180297851562e-07"), (3 * 2**-24, "1.7881393432617188e-07"),
+        (1e-280, "9.9999999999999996e-281"), (math.nextafter(1e-4, 0), "9.9999999999999991e-05"),
+        (1e-4, "0.0001"), (1e-14, "1e-14"), (0.5, "0.5"), (-0.0, "-0"), (math.inf, "inf"),
+    ])
+    def test_known_lines(self, x, text):
+        assert _one_step(1, [-1], [x]) == f"1,-1,{text}\n"
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_steps_split_across_chunks_give_the_same_bytes(self, monkeypatch, chunk):
+        walk = list(walk_steps(WalkConfig.symmetric(0.25), "global", 30))
+        lines = "".join(f"{n},{site},{cli._fmt(p)}\n" for n, dist in enumerate(walk)
+                        for site, p in zip(*dist.to_arrays()))
+        whole = ["".join(table(walk)) for table in (cli._site_table, cli._lorenz_table)]
+        assert whole[0] == "step,site,probability\n" + lines
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        assert ["".join(table(walk)) for table in (cli._site_table, cli._lorenz_table)] == whole
 
 
 class TestWrite:
@@ -488,7 +521,7 @@ PEAK_MB = {
     "analyze majorize --p 0.5 --symmetric --steps 600": 0.5,
     "analyze entropy --p 0.5 --symmetric --steps 600": 0.5,
     "figure entropy --steps 600": 0.6,
-    # one distribution and its rows of text at a time (held 3.2, 3.2)
+    # one distribution and a chunk of its rows of text at a time (held 3.2, 3.2)
     "simulate --p 0.5 --symmetric --steps 600": 0.5,
     "analyze lorenz --p 0.5 --symmetric --steps 600": 0.6,
     # the plotted steps only (held 3.3, 3.1)
