@@ -197,14 +197,8 @@ def build_config(args) -> WalkConfig:
     return WalkConfig(c=c, d=d, p=args.p)
 
 
-#: Characters handed to the output stream per write.  A text stream encodes
-#: each write into a new bytes object, so writing a one-piece output at once
-#: would hold a second copy of it (about 32 MB for a 1200-step ``--emit json``).
-_WRITE_CHUNK = 1 << 20
-
-
 def _emit(path: str | None, pieces: Iterable[str]) -> None:
-    """Write the text pieces in order to ``path``, or to stdout for None or "-".
+    """Write the text pieces in order, each as given, to ``path``, or to stdout for None or "-".
 
     The pieces go to a temporary file as they are rendered, so no joined text
     exists.  Only once all are written does it replace the file ``path`` names
@@ -242,18 +236,8 @@ def _emit(path: str | None, pieces: Iterable[str]) -> None:
 
 
 def _write(stream, text: str) -> None:
-    for start in range(0, len(text), _WRITE_CHUNK):
-        stream.write(text[start:start + _WRITE_CHUNK])
-
-
-def _config_record(config: WalkConfig, scheme: str, m: int) -> dict:
-    return {
-        "scheme": scheme,
-        "p": config.p,
-        "c": _fmt_complex(config.c),
-        "d": _fmt_complex(config.d),
-        "m": m,
-    }
+    """Write one piece as given, in one call."""
+    stream.write(text)
 
 
 # -- simulate ---------------------------------------------------------------
@@ -270,18 +254,33 @@ def _lorenz_table(trajectory: Iterable[SiteDistribution]) -> Iterator[str]:
                   ((n, np.arange(c.fractions.size), c.fractions, c.gammas) for n, c in curves))
 
 
+def _json_document(config: WalkConfig, scheme: str, m: int,
+                   steps: Iterable[SiteDistribution]) -> Iterator[str]:
+    """``json.dumps({"config": ..., "steps": [...]}, indent=2) + "\\n"``, a step a piece."""
+    record = {
+        "scheme": scheme,
+        "p": config.p,
+        "c": _fmt_complex(config.c),
+        "d": _fmt_complex(config.d),
+        "m": m,
+    }
+    # indent mode nests a value by indenting its lines, so each is encoded alone
+    head = json.dumps(record, indent=2).replace("\n", "\n  ")
+    yield '{\n  "config": ' + head + ',\n  "steps": ['
+    for n, dist in enumerate(steps):
+        sites, probs = dist.to_arrays()
+        step = {"n": n, "sites": sites.tolist(), "probs": probs.tolist()}
+        yield "," * (n > 0) + "\n    " + json.dumps(step, indent=2).replace("\n", "\n    ")
+    yield "\n  ]\n}\n"
+
+
 def cmd_simulate(args) -> tuple[int, Iterable[str]]:
     config = build_config(args)
     steps = walk_steps(config, args.scheme, args.steps, args.m)
     if args.emit == "csv":
         return 0, _site_table(steps)
     if args.emit == "json":
-        records = []
-        for n, dist in enumerate(steps):
-            sites, probs = dist.to_arrays()
-            records.append({"n": n, "sites": sites.tolist(), "probs": probs.tolist()})
-        record = {"config": _config_record(config, args.scheme, args.m), "steps": records}
-        return 0, [json.dumps(record, indent=2) + "\n"]
+        return 0, _json_document(config, args.scheme, args.m, steps)
     stride = max((args.steps + 1) // 6, 1)
     series = []
     for n, dist in enumerate(steps):

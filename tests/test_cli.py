@@ -15,7 +15,7 @@ from hypothesis import example, given, strategies as st
 
 from coinwalk import cli, verify
 from coinwalk.engine import NumericalError, SiteDistribution, WalkConfig
-from coinwalk.kernels import RealKernel, walk_steps
+from coinwalk.kernels import SCHEMES, RealKernel, walk_steps
 from coinwalk.verify import run_suite
 
 REPO = Path(__file__).resolve().parent.parent
@@ -343,6 +343,34 @@ class TestSimulate:
         assert (tmp_path / "f.csv").read_text() == "kept\n"
 
 
+class TestJsonDocument:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("steps", [0, 1, 7])
+    @pytest.mark.parametrize("p", verify.P_GRID)
+    @pytest.mark.parametrize("coin", sorted(CP_COINS))
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_streamed_document_matches_held_one(self, scheme, coin, p, steps, m):
+        argv = ["simulate", "--emit", "json", "--scheme", scheme, "--p", repr(p),
+                *CP_COINS[coin], "--steps", str(steps), "--m", str(m)]
+        args = cli.build_parser().parse_args(argv)
+        config = cli.build_config(args)
+        # the document as one json.dumps of every step held at once
+        walk = [dist.to_arrays() for dist in walk_steps(config, scheme, steps, m)]
+        records = [{"n": n, "sites": sites.tolist(), "probs": probs.tolist()}
+                   for n, (sites, probs) in enumerate(walk)]
+        record = {"config": {"scheme": scheme, "p": p, "c": cli._fmt_complex(config.c),
+                             "d": cli._fmt_complex(config.d), "m": m},
+                  "steps": records}
+        code, pieces = cli.cmd_simulate(args)
+        pieces = list(pieces)
+        assert code == 0
+        assert "".join(pieces) == json.dumps(record, indent=2) + "\n"
+        assert json.loads("".join(pieces)) == record
+        # the head, one piece per step and the close: no piece holds two steps
+        assert len(pieces) == steps + 3
+        assert [piece.count('"n": ') for piece in pieces] == [0, *[1] * (steps + 1), 0]
+
+
 class TestHandlers:
     @pytest.mark.parametrize("handler,argv,want", [
         (cli.cmd_simulate, ["simulate", "--p", "0.5", "--steps", "4"], 0),
@@ -480,8 +508,7 @@ class TestRows:
 
 class TestWrite:
     @pytest.mark.parametrize("text", ["", "a", "0,1,0.5\n" * 5, "x" * 21])
-    def test_chunked_output_reassembles(self, tmp_path, capsys, monkeypatch, text):
-        monkeypatch.setattr(cli, "_WRITE_CHUNK", 7)
+    def test_split_pieces_reassemble(self, tmp_path, capsys, text):
         path = tmp_path / "out"
         cli._emit(str(path), [text])
         cli._emit("-", iter([text[:5], "", text[5:]]))
@@ -527,6 +554,8 @@ PEAK_MB = {
     # the plotted steps only (held 3.3, 3.1)
     "simulate --emit svg --p 0.5 --symmetric --steps 600": 0.7,
     "figure lorenz --p 0.5 --steps 10,600": 0.3,
+    # one step's distribution and its text at a time (held 48.5)
+    "simulate --emit json --p 0.5 --symmetric --steps 600": 0.7,
 }
 
 
