@@ -16,7 +16,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
@@ -60,7 +59,7 @@ class WalkConfig:
     complex, ``p`` as float, and the coin matrix, built once, as a read-only
     array (a given ``coin`` is copied).  Configs are equal when these values
     are equal, the coin matrix compared by its bytes; equal configs build every
-    operator, kernel and distribution bit for bit alike and share memo entries.
+    operator, kernel and distribution bit for bit alike.
     """
 
     c: complex
@@ -108,28 +107,6 @@ class WalkConfig:
     def coin_unitary(self) -> np.ndarray:
         """``coin``, or the one-parameter coin [[sqrt(p), sqrt(1-p)], [sqrt(1-p), -sqrt(p)]]."""
         return self._unitary
-
-
-#: Entries in each memoised construction's LRU cache.
-MEMO_SIZE = 256
-
-
-def memoised(build):
-    """``build(config, n)`` with an LRU cache of ``MEMO_SIZE`` entries of its own.
-
-    The key is ``config`` by :class:`WalkConfig` equality and ``n`` by type
-    and value.  A hit returns the object a cold call built, so callers must
-    not modify it.  The result stays a plain function, which a tracer can
-    wrap; ``cache_clear`` and ``cache_info`` are the cache's.
-    """
-    cached = functools.lru_cache(maxsize=MEMO_SIZE, typed=True)(build)
-
-    @functools.wraps(build)
-    def lookup(*args, **kwargs):
-        return cached(*args, **kwargs)
-
-    lookup.cache_clear, lookup.cache_info = cached.cache_clear, cached.cache_info
-    return lookup
 
 
 def _check_steps(n: int) -> None:
@@ -302,40 +279,51 @@ def _trim_window(mat: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
 
 def build_step_operator(config: WalkConfig) -> CoinBlock:
     """The one-step coin-walker unitary as a 2x2 block of shift operators."""
-    return _step_power(config._unitary_bytes, 1)
+    (u00, u01), (u10, u11) = config.coin_unitary
+    return CoinBlock(((u00 * E_PLUS, u01 * E_PLUS), (u10 * E_MINUS, u11 * E_MINUS)))
 
 
-@memoised
 def kraus_pair(config: WalkConfig, n: int) -> tuple[LaurentOperator, LaurentOperator]:
     """Kraus generators of the n-step globally traced walk.
 
     A0 picks the coin-0 row of the n-step block power applied to the initial
     coin state; A1 the coin-1 row.  Together they satisfy the completeness
-    relation in both operator orders (they are normal).  Memoised.
+    relation in both operator orders (they are normal).
     """
     _check_steps(n)
-    block = _step_power(config._unitary_bytes, n)
+    return _pair(config, build_step_operator(config).power(n))
+
+
+def _pair(config: WalkConfig, block: CoinBlock) -> tuple[LaurentOperator, LaurentOperator]:
+    """The Kraus pair of a step-operator power: its rows applied to the initial coin state."""
     a0 = config.c * block[0, 0] + config.d * block[0, 1]
     a1 = config.c * block[1, 0] + config.d * block[1, 1]
     return a0, a1
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def _step_power(coin: bytes, n: int) -> CoinBlock:
-    """The n-th power of the step operator of the coin unitary with these bytes.
+def _kraus_steps(config: WalkConfig, n: int) -> Iterator[tuple[LaurentOperator, LaurentOperator]]:
+    """``kraus_pair(config, k)`` for k = 0..n, bit for bit, at one block product per k."""
+    return (_pair(config, block) for block in _block_powers(config, n))
 
-    Memoised, and built from cached smaller powers: a new n costs the one
-    block product ``CoinBlock.power`` ends with, so the blocks are
-    bit-identical to it.  An evicted power is rebuilt the same way.
+
+def _block_powers(config: WalkConfig, n: int) -> Iterator[CoinBlock]:
+    """Powers 0..n of the step operator, each the one ``CoinBlock.power`` builds.
+
+    Power k is power k - top times power top, top the largest power of two
+    below k: the last product ``CoinBlock.power`` forms, on the powers it
+    formed before.  Only the powers up to the largest power of two below n
+    are kept, until the generator is closed.  They depend only on the coin,
+    so configs that differ in their initial coin state share them.
     """
-    if n == 0:
-        return CoinBlock.identity()
-    if n == 1:
-        u = np.frombuffer(coin, dtype=complex).reshape(2, 2)
-        return CoinBlock(((u[0, 0] * E_PLUS, u[0, 1] * E_PLUS),
-                          (u[1, 0] * E_MINUS, u[1, 1] * E_MINUS)))
-    top = 1 << ((n - 1).bit_length() - 1)  # the largest power of two below n
-    return _step_power(coin, n - top) @ _step_power(coin, top)
+    _check_steps(n)
+    powers = [CoinBlock.identity(), build_step_operator(config)]
+    kept = 1 << (max(n - 1, 1).bit_length() - 1)
+    for k in range(n + 1):
+        top = 1 << (max(k - 1, 1).bit_length() - 1)
+        block = powers[k] if k < len(powers) else powers[k - top] @ powers[top]
+        if len(powers) == k <= kept:
+            powers.append(block)
+        yield block
 
 
 # -- distributions ----------------------------------------------------------

@@ -17,8 +17,8 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .engine import (NEGATIVE_DUST, NORM_TOL, NumericalError, SiteDistribution, WalkConfig,
-                     _check_cp_counts, _check_steps, _cp_steps, _global_steps, _last,
-                     _UNIT_ROUNDOFF, kraus_pair, memoised)
+                     _check_cp_counts, _check_steps, _cp_steps, _global_steps, _kraus_steps,
+                     _last, _UNIT_ROUNDOFF, kraus_pair)
 from .laurent import TRIM_TOL, FiniteSequence, LaurentOperator, window_sum
 
 REAL_TOL = 1e-12
@@ -126,36 +126,46 @@ def classical_kernel(p: float) -> RealKernel:
     return RealKernel({+1: 1.0 - p, -1: p}, "stochastic")
 
 
-@memoised
 def quantum_kernel(config: WalkConfig, n: int) -> RealKernel:
     """The doubly stochastic kernel of the n-step globally traced walk.
 
     Built from degree-wise modulus-squared Kraus coefficients; applying it
-    to the origin delta reproduces the n-step site distribution.  Memoised.
+    to the origin delta reproduces the n-step site distribution.
     """
-    a0, a1 = kraus_pair(config, n)
-    op = a0.hadamard_conj(a0) + a1.hadamard_conj(a1)
-    return RealKernel.from_laurent(op, "stochastic")
+    return _kernel(kraus_pair(config, n))
+
+
+def _kernel(pair) -> RealKernel:
+    a0, a1 = pair
+    return RealKernel.from_laurent(a0.hadamard_conj(a0) + a1.hadamard_conj(a1), "stochastic")
 
 
 def mixing_matrix(config: WalkConfig, i: int) -> RealKernel:
     """The inhomogeneous mixing term of the kernel recurrence at step i."""
     _check_steps(i)
+    return _mixing(config, i, kraus_pair(config, i))
+
+
+def _mixing(config: WalkConfig, i: int, pair) -> RealKernel:
     if i == 0:
         return RealKernel({})
     p = _require_bias(config)
-    a0, a1 = kraus_pair(config, i)
+    a0, a1 = pair
     cross = a0.hadamard_conj(a1) + a1.hadamard_conj(a0)
     op = math.sqrt(p * (1.0 - p)) * cross + (2.0 * p - 1.0) * a0.hadamard_conj(a0)
     return RealKernel.from_laurent(op)
 
 
-@memoised
 def reshuffling_matrix(config: WalkConfig, i: int) -> RealKernel:
-    """The null-sum kernel weighting the (n-i)-step classical distribution.  Memoised."""
+    """The null-sum kernel weighting the (n-i)-step classical distribution."""
     if i < 1:
         raise ValueError(f"reshuffling index must be at least 1, got {i}")
-    return SHIFT_DIFFERENCE.convolve(mixing_matrix(config, i - 1))
+    return _reshuffling(config, i, kraus_pair(config, i - 1))
+
+
+def _reshuffling(config: WalkConfig, i: int, pair) -> RealKernel:
+    """Omega_i from the (i-1)-step Kraus pair."""
+    return SHIFT_DIFFERENCE.convolve(_mixing(config, i - 1, pair))
 
 
 def phi_matrix(config: WalkConfig) -> RealKernel:
@@ -262,7 +272,18 @@ def pseudo_memory_reconstruct(config: WalkConfig, n: int) -> SiteDistribution:
     if abs(right - (1.0 - p)) > 1e-10:
         raise IncompatibleCoinError(f"one-step right probability {right:.12g} != {1.0 - p:.12g}"
                                     " required by the classical kernel convention")
-    acc = _memory_sum(config, classical_kernel(p), n)
+    omegas, classical = _reshufflings(config, n), _powers(classical_kernel(p), n)
+    return _memory_distribution(_memory_sum(omegas, classical, n))
+
+
+def _reshufflings(config: WalkConfig, n: int) -> list[RealKernel]:
+    """Omega_2, ..., Omega_n, read off one Kraus pass."""
+    pairs = enumerate(_kraus_steps(config, max(n - 1, 0)))
+    return [_reshuffling(config, k + 1, pair) for k, pair in pairs if k]
+
+
+def _memory_distribution(acc: RealKernel) -> SiteDistribution:
+    """A memory sum as a distribution: entries at or below TRIM_TOL cleared, summing to 1."""
     clipped = np.where(acc.values > TRIM_TOL, acc.values, 0.0)
     return SiteDistribution((acc.lo, clipped), sum_tol=1e-9)
 
@@ -281,10 +302,11 @@ def _powers(kernel: RealKernel, n: int) -> list[RealKernel]:
     return powers
 
 
-def _memory_sum(config: WalkConfig, delta_c: RealKernel, n: int) -> RealKernel:
-    """delta_c^n + sum_{i=2..n} Omega_i * delta_c^(n-i), trimmed but not clipped or validated."""
-    classical = _powers(delta_c, n)
-    terms = [classical[n]]
-    terms += [reshuffling_matrix(config, i).convolve(classical[n - i]) for i in range(2, n + 1)]
-    return RealKernel(window_sum((t.lo, t.values) for t in terms))
+def _memory_sum(omegas: list[RealKernel], classical: list[RealKernel], n: int) -> RealKernel:
+    """delta_c^n + sum_{i=2..n} Omega_i * delta_c^(n-i), trimmed but not clipped or validated.
 
+    ``omegas`` starts at Omega_2 and ``classical`` at delta_c^0; the two are read up to n.
+    """
+    terms = [classical[n]]
+    terms += [omegas[i - 2].convolve(classical[n - i]) for i in range(2, n + 1)]
+    return RealKernel(window_sum((t.lo, t.values) for t in terms))

@@ -1,6 +1,6 @@
 """Verification suites over the walk algebra, kernels, and analysis layer.
 
-Each suite yields its check records, under its own default tolerance unless
+Each suite gives its check records, under its own default tolerance unless
 given one, and :func:`run_suite` collects them for JSON serialization:
 ``{"name", "params", "max_residual", "tolerance", "pass", "informational"}``,
 plus a ``"note"`` where the check explains itself.  A check passes when its
@@ -8,27 +8,23 @@ residual is at most its tolerance (a NaN residual fails).  Informational
 checks record findings (convention scans, documented divergences) and never
 fail a run.  JSON has no NaN or infinity, so a record's residual or
 tolerance that is not finite is written as ``null``.  Every walk a suite
-reads comes from :func:`coinwalk.kernels.walk_steps`.
+reads comes from :func:`coinwalk.kernels.walk_steps`; the kraus, stochastic,
+recurrence and memory suites read every Kraus pair of the grid from one
+ascending pass per coin, which :func:`run_suite` shares among them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from typing import Iterator
 
 from . import analysis, kernels
-from .engine import NumericalError, SiteDistribution, WalkConfig, completeness_defect, kraus_pair
-from .kernels import (
-    RealKernel,
-    classical_kernel,
-    phi_matrix,
-    pseudo_memory_reconstruct,
-    quantum_kernel,
-    reshuffling_matrix,
-    walk_steps,
-)
+from .engine import (NumericalError, SiteDistribution, WalkConfig, _block_powers, _pair,
+                     completeness_defect, kraus_pair)
+from .kernels import RealKernel, classical_kernel, phi_matrix, walk_steps
 from .laurent import LaurentOperator
 
 P_GRID = (0.25, 1.0 / 3.0, 0.5, 0.75)
@@ -58,11 +54,16 @@ def _holds(name, params, ok, informational=False, note=None) -> dict:
     return _check(name, params, float(not ok), 0.5, informational, note)
 
 
-def _grid(**span):
+def _grid():
     """``(params, config)`` for each coin bias in P_GRID and initial coin state."""
     for p in P_GRID:
         for label, (c, d) in COIN_INITS.items():
-            yield {"p": p, "coin": label, **span}, WalkConfig(c=c, d=d, p=p)
+            yield {"p": p, "coin": label}, WalkConfig(c=c, d=d, p=p)
+
+
+#: The memory suite's configs, in its order, and their labels.
+_MEMORY = {WalkConfig.symmetric(): "symmetric p=1/2",
+           **{WalkConfig(c=0.0, d=1.0, p=p): f"c=0,d=1 p={p:.4g}" for p in P_GRID}}
 
 
 def _worst(residuals) -> float:
@@ -76,63 +77,125 @@ def _ordered(trajectory) -> bool:
     return all(v.relation in ordered for v in analysis.majorization_chain(trajectory))
 
 
-def suite_kraus(max_steps: int, tol: float = 1e-12) -> Iterator[dict]:
-    for params, cfg in _grid(steps=f"0..{max_steps}"):
-        pairs = (kraus_pair(cfg, n) for n in range(max_steps + 1))
-        families = (f for a0, a1 in pairs for f in ([a0, a1], [a0.adjoint(), a1.adjoint()]))
-        worst = _worst(map(completeness_defect, families))
-        yield _check("kraus-completeness-both-orders", params, worst, tol)
+class _Folded:
+    """A suite whose records are read off the Kraus pass of each coin of the grid.
+
+    :func:`run_suite` folds every such suite it runs over one pass per coin;
+    alone, one is folded on first iteration.  Iterating raises the
+    NumericalError that stopped the suite: the first in its config order.
+    """
+
+    def __init__(self, suite: str, max_steps: int, tol: float):
+        self.suite, self.max_steps, self.tol, self.outcomes = suite, max_steps, tol, None
+
+    def __iter__(self):
+        if self.outcomes is None:
+            _fold([self])
+        return itertools.chain.from_iterable(map(_read, self.outcomes))
 
 
-def suite_stochastic(max_steps: int, tol: float = 1e-12) -> Iterator[dict]:
-    for params, cfg in _grid(steps=f"0..{max_steps}"):
-        # kernel n and term n + 1 share a Kraus pair; the period-2 kernel is always checked
-        powers, null_sum = [], [phi_matrix(cfg)]
-        for n in range(max(max_steps, 2) + 1):
-            powers.append(quantum_kernel(cfg, n))
-            if n < max_steps:
-                null_sum.append(reshuffling_matrix(cfg, n + 1))
-        yield _check("quantum-kernel-unit-sum", params,
-                     _worst(abs(k.coefficient_sum - 1.0) for k in powers), tol)
-        yield _check("quantum-kernel-nonnegative", params,
-                     _worst(-v for k in powers for _, v in k.items()), tol)
-        yield _check("null-sum-corrections",
-                     {"p": params["p"], "coin": params["coin"], "indices": f"1..{max_steps}"},
-                     _worst(abs(k.coefficient_sum) for k in null_sum), tol)
+def _tried(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, or the NumericalError it raised, for ``_read`` to raise."""
+    try:
+        return build(*args, **kwargs)
+    except NumericalError as exc:
+        return exc
 
 
-def suite_recurrence(max_steps: int, tol: float = 1e-10) -> Iterator[dict]:
-    for params, cfg in _grid(steps=f"1..{max_steps}"):
-        delta_c = classical_kernel(params["p"])
-        residuals = (
-            quantum_kernel(cfg, n + 1).distance(
-                delta_c.convolve(quantum_kernel(cfg, n)) + reshuffling_matrix(cfg, n + 1))
-            for n in range(1, max_steps + 1)
-        )
-        yield _check("kernel-recurrence", params, _worst(residuals), tol)
+def _read(value):
+    if isinstance(value, NumericalError):
+        raise value
+    return value
 
 
-def _memory_configs():
-    yield "symmetric p=1/2", WalkConfig.symmetric()
-    for p in P_GRID:
-        yield f"c=0,d=1 p={p:.4g}", WalkConfig(c=0.0, d=1.0, p=p)
+def _fold(folds: list[_Folded]) -> None:
+    """Set the outcomes of folds of one max_steps n, from one pass per coin of the grid.
+
+    The step powers run to n + 1.  Of each grid config with that coin, the pass
+    keeps what the suites reading the config read: the completeness defects
+    of Kraus pairs 0..n, and the kernel K_k and term Omega_(k+1) of pair k.
+    """
+    if not folds:
+        return
+    n, outcomes = folds[0].max_steps, {}
+    for _, coin in itertools.groupby(_grid(), lambda item: item[0]["p"]):
+        readers = []  # params, config, the suites reading it, and what they read
+        for params, cfg in coin:
+            reading = {fold.suite for fold in folds if fold.suite != "memory" or cfg in _MEMORY}
+            if reading:
+                readers.append((params, cfg, reading, ([], [], [])))
+        # the coin's step powers, which each of its configs shares
+        for k, block in enumerate(_block_powers(cfg, n + 1)):
+            for _, cfg, reading, (defects, kernel_terms, omegas) in readers:
+                pair = _pair(cfg, block)
+                if "kraus" in reading and k <= n:
+                    defects.extend(map(completeness_defect, (pair, [a.adjoint() for a in pair])))
+                if reading & {"stochastic", "recurrence"}:
+                    kernel_terms.append(_tried(kernels._kernel, pair))
+                if reading - {"kraus"} and k <= n:
+                    omegas.append(_tried(kernels._reshuffling, cfg, k + 1, pair))
+        for params, cfg, reading, terms in readers:
+            for fold in folds:
+                if fold.suite in reading:
+                    checks = _FOLD_CHECKS[fold.suite](params, cfg, terms, n, fold.tol)
+                    outcomes[fold.suite, cfg] = _tried(list, checks)
+    for fold in folds:
+        configs = _MEMORY if fold.suite == "memory" else [cfg for _, cfg in _grid()]
+        fold.outcomes = [outcomes[fold.suite, cfg] for cfg in configs]
+        if fold.suite == "memory":
+            fold.outcomes.append(_tried(list, _convention_scan(n, fold.tol)))
 
 
-def suite_memory(max_steps: int, tol: float = 1e-10) -> Iterator[dict]:
-    for label, cfg in _memory_configs():
-        steps = enumerate(walk_steps(cfg, "global", max_steps))
-        worst = _worst(pseudo_memory_reconstruct(cfg, n).distance(dist) for n, dist in steps if n)
-        yield _check("pseudo-memory-reconstruction",
-                     {"config": label, "steps": f"1..{max_steps}"}, worst, tol)
-    # Convention scan for an incompatible coin: which bias labeling (if
-    # either) of the classical kernel reproduces the quantum distribution.
-    p = 0.25
-    cfg = WalkConfig(c=1.0, d=0.0, p=p)
-    trajectory = list(walk_steps(cfg, "global", min(max_steps, 8)))
-    for swap, bias in (("as-stated", p), ("swapped", 1.0 - p)):
-        delta_c = classical_kernel(bias)
-        worst = _worst(kernels._memory_sum(cfg, delta_c, n).distance(trajectory[n])
-                       for n in range(1, len(trajectory)))
+def _kraus_checks(params, cfg, terms, n, tol):
+    yield _check("kraus-completeness-both-orders", {**params, "steps": f"0..{n}"},
+                 _worst(terms[0]), tol)
+
+
+def _stochastic_checks(params, cfg, terms, n, tol):
+    # kernel k and term k + 1 share a Kraus pair; the period-2 kernel is always checked
+    powers = [_read(kernel) for kernel in terms[1][: max(n, 2) + 1]]
+    null_sum = [phi_matrix(cfg), *map(_read, terms[2][:n])]
+    steps = {**params, "steps": f"0..{n}"}
+    yield _check("quantum-kernel-unit-sum", steps,
+                 _worst(abs(k.coefficient_sum - 1.0) for k in powers), tol)
+    yield _check("quantum-kernel-nonnegative", steps,
+                 _worst(-v for k in powers for _, v in k.items()), tol)
+    yield _check("null-sum-corrections", {**params, "indices": f"1..{n}"},
+                 _worst(abs(k.coefficient_sum) for k in null_sum), tol)
+
+
+def _recurrence_checks(params, cfg, terms, n, tol):
+    _, kernel_terms, omegas = terms
+    delta_c = classical_kernel(cfg.p)
+    residuals = (_read(kernel_terms[k + 1]).distance(
+        delta_c.convolve(_read(kernel_terms[k])) + _read(omegas[k])) for k in range(1, n + 1))
+    yield _check("kernel-recurrence", {**params, "steps": f"1..{n}"}, _worst(residuals), tol)
+
+
+def _memory_checks(params, cfg, terms, n, tol):
+    # reconstruction k adds held terms: Omega_2..Omega_k and the classical powers up to k
+    omegas = [_read(omega) for omega in terms[2][1:n]]
+    classical = kernels._powers(classical_kernel(cfg.p), n)
+    steps = enumerate(walk_steps(cfg, "global", n))
+    worst = _worst(kernels._memory_distribution(kernels._memory_sum(omegas, classical, k))
+                   .distance(dist) for k, dist in steps if k)
+    yield _check("pseudo-memory-reconstruction", {"config": _MEMORY[cfg], "steps": f"1..{n}"},
+                 worst, tol)
+
+
+_FOLD_CHECKS = {"kraus": _kraus_checks, "stochastic": _stochastic_checks,
+                "recurrence": _recurrence_checks, "memory": _memory_checks}
+
+
+def _convention_scan(n, tol):
+    # For an incompatible coin: which bias labeling (if either) of the
+    # classical kernel reproduces the quantum distribution.
+    cfg, top = WalkConfig(c=1.0, d=0.0, p=0.25), min(n, 8)
+    trajectory, omegas = list(walk_steps(cfg, "global", top)), kernels._reshufflings(cfg, top)
+    for swap, bias in (("as-stated", 0.25), ("swapped", 0.75)):
+        classical = kernels._powers(classical_kernel(bias), top)
+        worst = _worst(kernels._memory_sum(omegas, classical, k).distance(trajectory[k])
+                       for k in range(1, top + 1))
         yield _check("memory-convention-scan",
                      {"config": "c=1,d=0 p=0.25", "classical_bias": swap}, worst, tol,
                      informational=True,
@@ -232,10 +295,10 @@ def suite_analysis(max_steps: int, tol: float = 1e-12) -> Iterator[dict]:
 
 
 SUITES = {
-    "kraus": suite_kraus,
-    "stochastic": suite_stochastic,
-    "recurrence": suite_recurrence,
-    "memory": suite_memory,
+    "kraus": functools.partial(_Folded, "kraus", tol=1e-12),
+    "stochastic": functools.partial(_Folded, "stochastic", tol=1e-12),
+    "recurrence": functools.partial(_Folded, "recurrence", tol=1e-10),
+    "memory": functools.partial(_Folded, "memory", tol=1e-10),
     "prop2": suite_prop2,
     "analysis": suite_analysis,
 }
@@ -250,10 +313,13 @@ def run_suite(name: str, max_steps: int = 12, tol: float | None = None) -> dict:
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite: {name!r}")
     given = {} if tol is None else {"tol": tol}  # none given: each suite's own default
+    runs = {suite: _tried(SUITES[suite], max_steps, **given)
+            for suite in (SUITES if name == "all" else (name,))}
+    _fold([run for run in runs.values() if isinstance(run, _Folded)])
     checks = []
-    for suite in SUITES if name == "all" else (name,):
+    for suite, run in runs.items():
         try:  # list() first, so that a failing suite adds none of its records
-            checks += list(SUITES[suite](max_steps, **given))
+            checks += list(_read(run))
         except NumericalError as exc:  # the suite's own checks are lost; the report is not
             checks.append(_check(f"{suite}-numerical-failure", {"max_steps": max_steps},
                                  exc.value, exc.bound, note=str(exc)))

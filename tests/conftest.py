@@ -24,6 +24,13 @@ def symmetric():
     return WalkConfig.symmetric()
 
 
+def bits(value):
+    """Everything a result is made of, down to the bytes of its coefficients."""
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    return type(value), value.lo, value.values.tobytes(), getattr(value, "kind", None)
+
+
 def random_unitary_config(seed) -> WalkConfig:
     """A Haar-random unitary coin and a random complex initial coin state, from ``seed``."""
     rng = np.random.default_rng(seed)

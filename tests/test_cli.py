@@ -563,7 +563,7 @@ class TestMemory:
     @pytest.mark.parametrize("command", sorted(PEAK_MB))
     def test_peak_allocation_is_bounded(self, tmp_path, command):
         argv = command.split() + ["--out", str(tmp_path / "out")]
-        assert cli.main(argv) == 0  # fills the Kraus-power cache outside the trace
+        assert cli.main(argv) == 0  # imports and the CSV digit tables, outside the trace
         tracemalloc.start()
         try:
             assert cli.main(argv) == 0

@@ -15,8 +15,8 @@ from coinwalk.engine import (
     _cp_steps,
     _global_amplitudes,
     _global_steps,
+    _kraus_steps,
     _last,
-    _step_power,
     _trim_window,
     build_step_operator,
     cp_apply,
@@ -26,8 +26,10 @@ from coinwalk.engine import (
     kraus_pair,
 )
 from coinwalk.kernels import (
+    _kernel,
     prompt_distribution,
     pseudo_memory_reconstruct,
+    quantum_kernel,
     walk_steps,
 )
 from coinwalk.laurent import IDENTITY, LaurentOperator
@@ -37,6 +39,7 @@ from conftest import (
     P_GRID,
     PHASED_COIN,
     binomial_distribution,
+    bits,
     config_id,
     dense_cp,
     dense_delayed_diagonals,
@@ -87,11 +90,10 @@ def full_window_amplitudes(cfg, n):
         yield psi
 
 
-def assert_kraus_is_block_power(cfg, n, block):
-    """kraus_pair(cfg, n) is the initial-coin combination of ``block``, bit for bit."""
+def assert_is_block_power(cfg, n, pair, block):
+    """``pair`` is the initial-coin combination of ``block``, bit for bit."""
     want = (cfg.c * block[0, 0] + cfg.d * block[0, 1], cfg.c * block[1, 0] + cfg.d * block[1, 1])
-    for got, ref in zip(kraus_pair(cfg, n), want):
-        assert (got.lo, got.values.tobytes()) == (ref.lo, ref.values.tobytes()), n
+    assert bits(tuple(pair)) == bits(want), n
 
 
 class TestWalkConfig:
@@ -174,33 +176,38 @@ class TestKrausPair:
         with pytest.raises(ValueError):
             kraus_pair(WalkConfig.symmetric(), -1)
 
-    def test_memoised_powers_keep_coins_apart(self):
+    def test_kraus_pass_keeps_coins_apart(self):
         # equal biases, different unitaries: each pair matches its own block power
         configs = [WalkConfig(c=SQ2, d=1j * SQ2, p=0.5),
                    WalkConfig(c=SQ2, d=1j * SQ2, coin=PHASED_COIN),
                    WalkConfig(c=1.0, d=0.0, p=0.5)]
-        for _ in range(2):
-            for cfg in configs:
-                block = build_step_operator(cfg).power(7)
-                a0, a1 = kraus_pair(cfg, 7)
-                assert a0.distance(cfg.c * block[0, 0] + cfg.d * block[0, 1]) == 0.0
-                assert a1.distance(cfg.c * block[1, 0] + cfg.d * block[1, 1]) == 0.0
+        for cfg in configs:
+            step = build_step_operator(cfg)
+            for n, pair in enumerate(_kraus_steps(cfg, 7)):
+                assert_is_block_power(cfg, n, pair, step.power(n))
+                assert_is_block_power(cfg, n, kraus_pair(cfg, n), step.power(n))
 
     @pytest.mark.parametrize("p", P_GRID)
     @pytest.mark.parametrize("cd", COIN_INITS)
-    def test_memoised_powers_equal_the_power_loop_bitwise(self, p, cd):
-        # 0..300 runs past the 256-entry cache, so evicted powers are rebuilt
+    def test_kraus_pass_equals_the_power_loop_bitwise(self, p, cd):
+        # past 256 and 512: the pass keeps the powers up to 512, and builds
+        # each one above from two of them
         cfg = WalkConfig(c=cd[0], d=cd[1], p=p)
         step = build_step_operator(cfg)
-        _step_power.cache_clear()
-        for n in [*range(301), 511, 512, 513, 1023, 1024, 2049]:
-            assert_kraus_is_block_power(cfg, n, step.power(n))
+        checked = {*range(20), 255, 256, 257, 300, 511, 512, 513}
+        for n, pair in enumerate(_kraus_steps(cfg, 513)):
+            if n in checked:
+                assert_is_block_power(cfg, n, pair, step.power(n))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 70))
-    def test_memoised_powers_of_random_unitary_coins(self, seed, n):
+    def test_kraus_pass_of_random_unitary_coins(self, seed, n):
+        # each pair of the pass, and the kernel read off it, has the bits of
+        # the single-n readers
         cfg = random_unitary_config(seed)
-        assert_kraus_is_block_power(cfg, n, build_step_operator(cfg).power(n))
+        for k, pair in enumerate(_kraus_steps(cfg, n)):
+            assert bits(pair) == bits(kraus_pair(cfg, k)), k
+            assert bits(_kernel(pair)) == bits(quantum_kernel(cfg, k)), k
 
     @pytest.mark.parametrize("cfg", [
         *(random_unitary_config(seed) for seed in range(10)),
@@ -214,17 +221,16 @@ class TestKrausPair:
 
         c, d = complex(cfg.c), complex(cfg.d)
         for n in range(31):
-            block = _step_power(cfg.coin_unitary.tobytes(), n)
+            block = build_step_operator(cfg).power(n)
             for row, got in enumerate(kraus_pair(cfg, n)):
                 want = scaled(c, block[row, 0]) + scaled(d, block[row, 1])
                 assert (got.lo, got.values.tobytes()) == (want.lo, want.values.tobytes()), n
 
-    def test_reconstruction_same_bytes_cold_and_warm(self):
+    def test_reconstruction_same_bytes_twice(self):
         cfg = WalkConfig(c=0.0, d=1.0, p=0.5)
-        _step_power.cache_clear()
-        cold = pseudo_memory_reconstruct(cfg, 200)
-        warm = pseudo_memory_reconstruct(cfg, 200)
-        assert (cold.lo, cold.values.tobytes()) == (warm.lo, warm.values.tobytes())
+        first = pseudo_memory_reconstruct(cfg, 200)
+        second = pseudo_memory_reconstruct(cfg, 200)
+        assert (first.lo, first.values.tobytes()) == (second.lo, second.values.tobytes())
 
     @pytest.mark.parametrize("p", P_GRID)
     @pytest.mark.parametrize("cd", COIN_INITS)

@@ -1,20 +1,20 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coinwalk import cli
+from coinwalk import cli, kernels, verify
 from coinwalk.analysis import Verdict, compare_majorization
 from coinwalk.engine import (
-    MEMO_SIZE,
     NumericalError,
     SiteDistribution,
     WalkConfig,
+    _kraus_steps,
     _last,
-    _step_power,
     cp_distribution,
     cp_walk,
     global_distribution,
@@ -38,10 +38,10 @@ from coinwalk.kernels import (
     reshuffling_matrix,
     walk_steps,
 )
-from coinwalk.laurent import IDENTITY, LaurentOperator
+from coinwalk.laurent import IDENTITY, CoinBlock, LaurentOperator
 from coinwalk.verify import SUITES, _grid, run_suite
 
-from conftest import COIN_INITS, P_GRID, PHASED_COIN, config_id, random_unitary_config
+from conftest import COIN_INITS, P_GRID, PHASED_COIN, bits, config_id, random_unitary_config
 
 
 class TestRealKernel:
@@ -578,24 +578,26 @@ class TestKernelCpDivergence:
         assert walk[2].total_variation(cp[2]) > 1e-6
 
 
-#: Every memoised construction; ``clear_memos`` also clears the step powers beneath them.
-MEMOISED = {"kraus_pair": kraus_pair, "quantum_kernel": quantum_kernel,
-            "reshuffling_matrix": reshuffling_matrix}
-MEMO_CONFIGS = [
+#: The single-n readers of the walk terms.
+WALK_TERMS = {"kraus_pair": kraus_pair, "quantum_kernel": quantum_kernel,
+              "reshuffling_matrix": reshuffling_matrix}
+TERM_CONFIGS = [
     *(WalkConfig(c=cd[0], d=cd[1], p=p) for p in P_GRID for cd in COIN_INITS),
     *(WalkConfig(c=cd[0], d=cd[1], coin=PHASED_COIN) for cd in COIN_INITS),
 ]
 
 
-#: Misses of kraus_pair, _step_power, quantum_kernel and reshuffling_matrix in one
-#: run_suite(suite, 14) from cleared memos.
-SUITE_COLD_MISSES = {
-    "kraus": (120, 60, 0, 0),
-    "stochastic": (120, 60, 120, 112),
-    "recurrence": (120, 60, 120, 112),
-    "memory": (72, 52, 0, 72),
-    "prop2": (1, 2, 1, 0),
-    "analysis": (2, 2, 0, 0),
+#: CoinBlock products in one run_suite(suite, 14): a pass of the step powers to
+#: 15 makes 14 per coin of the grid (4, each shared by its two initial states),
+#: the stochastic suite's period-2 kernel 2 per config (8), the memory suite's
+#: convention scan 6, and each single-n reader of pair n its binary powers.
+SUITE_BLOCK_PRODUCTS = {
+    "kraus": 4 * 14,
+    "stochastic": 4 * 14 + 8 * 2,
+    "recurrence": 4 * 14,
+    "memory": 4 * 14 + 6,
+    "prop2": 36,
+    "analysis": 2,
 }
 
 #: sha256 of ``verify stochastic --max-steps 260``'s report, recorded when the
@@ -606,39 +608,55 @@ STOCHASTIC_260_SHA256 = "7f44947a33c7452830be03865fd1fac8febc10e399e3417171f8364
 MEMORY_100_SHA256 = "4f9df47db043b82c28a28ea866dd768b400981d2aee4ec997e04084a3b905181"
 
 
-def clear_memos():
-    for fn in (*MEMOISED.values(), _step_power):
-        fn.cache_clear()
-
-
-def memo_indices(name, stop):
-    """The indices below ``stop`` that a memoised construction takes: reshuffling's start at 1."""
+def term_indices(name, stop):
+    """The indices below ``stop`` that a walk term takes: reshuffling's start at 1."""
     return range(name == "reshuffling_matrix", stop)
 
 
-def bits(value):
-    """Everything a result is made of, down to the bytes of its coefficients."""
-    if isinstance(value, tuple):
-        return tuple(bits(v) for v in value)
-    return type(value), value.lo, value.values.tobytes(), getattr(value, "kind", None)
+def block_products(monkeypatch, run) -> int:
+    """The CoinBlock products ``run()`` makes."""
+    count = 0
+    product = CoinBlock.__matmul__
+
+    def counted(self, other):
+        nonlocal count
+        count += 1
+        return product(self, other)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CoinBlock, "__matmul__", counted)
+        run()
+    return count
 
 
-class TestMemo:
+def report_sha256(report) -> str:
+    """The sha256 of the bytes the CLI writes for a verify report."""
+    return hashlib.sha256((json.dumps(report, indent=2) + "\n").encode()).hexdigest()
+
+
+class TestWalkTerms:
+    @pytest.mark.parametrize("cfg", TERM_CONFIGS, ids=config_id)
+    def test_pass_keeps_every_value(self, cfg):
+        # the pass and the single-n readers are two paths to each pair, and
+        # the kernel and reshuffling term read off a pair are those of its reader
+        for n, pair in enumerate(_kraus_steps(cfg, 300)):
+            assert bits(pair) == bits(kraus_pair(cfg, n)), n
+            assert bits(kernels._kernel(pair)) == bits(quantum_kernel(cfg, n)), n
+            if cfg.p is not None:  # the reshuffling term needs the one-parameter coin
+                omega = kernels._reshuffling(cfg, n + 1, pair)
+                assert bits(omega) == bits(reshuffling_matrix(cfg, n + 1)), n
+
     @pytest.mark.parametrize("name,cfg", [
         pytest.param(name, cfg, id=f"{name}-{config_id(cfg)}")
-        for name in MEMOISED for cfg in MEMO_CONFIGS
+        for name in WALK_TERMS for cfg in TERM_CONFIGS
         if cfg.p is not None or name != "reshuffling_matrix"  # it needs the one-parameter coin
     ])
-    def test_warm_equals_cold(self, name, cfg):
-        fn, indices = MEMOISED[name], memo_indices(name, 21)
-        clear_memos()
-        cold = [bits(fn(cfg, n)) for n in indices]
-        hits = fn.cache_info().hits
+    def test_twin_configs_and_any_order_build_the_same_bits(self, name, cfg):
+        fn, indices = WALK_TERMS[name], term_indices(name, 21)
+        first = [bits(fn(cfg, n)) for n in indices]
         twin = WalkConfig(c=cfg.c, d=cfg.d, p=cfg.p, coin=cfg.coin)
-        assert [bits(fn(twin, n)) for n in indices] == cold
-        assert fn.cache_info().hits == hits + len(indices)
-        clear_memos()
-        assert [bits(fn(cfg, n)) for n in reversed(indices)] == cold[::-1]
+        assert [bits(fn(twin, n)) for n in indices] == first
+        assert [bits(fn(cfg, n)) for n in reversed(indices)] == first[::-1]
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_symmetric_and_hand_built_configs_agree(self, p):
@@ -647,13 +665,10 @@ class TestMemo:
         plain = WalkConfig(c=float(s), d=complex(1j * s), p=p)  # Python scalars: the same values
         for cfg in (same, plain):
             assert cfg == sym and hash(cfg) == hash(sym)
-        for name, fn in MEMOISED.items():
-            results = []
-            for cfg in (sym, same, plain):
-                clear_memos()
-                results.append([bits(fn(cfg, n)) for n in memo_indices(name, 13)])
+        for name, fn in WALK_TERMS.items():
+            results = [[bits(fn(cfg, n)) for n in term_indices(name, 13)]
+                       for cfg in (sym, same, plain)]
             assert results[0] == results[1] == results[2], name
-            assert fn(same, 12) is fn(sym, 12) and fn(plain, 12) is fn(sym, 12), name
 
     def test_configs_differing_in_any_parameter_are_unequal(self):
         base = WalkConfig(c=0.0, d=1.0, p=0.5)
@@ -689,9 +704,8 @@ class TestMemo:
         assert all(cfg == configs[0] and hash(cfg) == hash(configs[0]) for cfg in configs)
         results = []
         for cfg in configs:
-            clear_memos()
-            built = [bits(fn(cfg, n)) for name, fn in MEMOISED.items()
-                     for n in memo_indices(name, 13)
+            built = [bits(fn(cfg, n)) for name, fn in WALK_TERMS.items()
+                     for n in term_indices(name, 13)
                      if cfg.p is not None or name != "reshuffling_matrix"]
             built += [bits(dist) for scheme in SCHEMES for m in (1, 2, 3)
                       for dist in walk_steps(cfg, scheme, 12, m)]
@@ -706,9 +720,7 @@ class TestMemo:
                                                        "--steps", "12"]))
                    for coin in ([], ["--coin", "c=1,d=0"])]
         assert configs[0] == configs[1] and hash(configs[0]) == hash(configs[1])
-        clear_memos()
-        assert kraus_pair(configs[0], 12) is kraus_pair(configs[1], 12)
-        assert kraus_pair.cache_info().misses == 1
+        assert bits(kraus_pair(configs[0], 12)) == bits(kraus_pair(configs[1], 12))
 
     def test_verify_grid_symmetric_configs_are_the_symmetric_config(self):
         symmetric = [(params["p"], cfg) for params, cfg in _grid() if params["coin"] == "symmetric"]
@@ -716,63 +728,109 @@ class TestMemo:
         for p, cfg in symmetric:
             assert cfg == WalkConfig.symmetric(p) and hash(cfg) == hash(WalkConfig.symmetric(p))
 
-    def test_verify_builds_each_symmetric_walk_once(self):
-        # the grid's symmetric configs and the suites' WalkConfig.symmetric(p)
-        # share their memo entries; when they were keyed apart, a cold
-        # run_suite("all", 14) missed 148 and 140 times
-        clear_memos()
-        run_suite("all", 14)
-        assert kraus_pair.cache_info().misses == 135
-        assert reshuffling_matrix.cache_info().misses == 127
-
     @pytest.mark.parametrize("suite", SUITES)
-    def test_each_suite_cold_cache_misses(self, suite):
-        # a suite restructured to build fewer walk parameters shows it here
-        clear_memos()
-        run_suite(suite, 14)
-        fns = (kraus_pair, _step_power, quantum_kernel, reshuffling_matrix)
-        assert tuple(fn.cache_info().misses for fn in fns) == SUITE_COLD_MISSES[suite]
+    def test_each_suite_block_products(self, monkeypatch, suite):
+        # a suite restructured to build more or fewer Kraus pairs shows it here
+        assert block_products(monkeypatch, lambda: run_suite(suite, 14)) == \
+            SUITE_BLOCK_PRODUCTS[suite]
 
-    def test_stochastic_builds_each_kraus_pair_once(self):
-        # kernel n and reshuffling term n + 1 read Kraus pair n; read in two
-        # passes, the 261 pairs of a config outran the 256-entry memo and a cold
-        # run made 4,160 kraus_pair and 2,628 _step_power misses
-        clear_memos()
-        report = run_suite("stochastic", 260)
-        assert (kraus_pair.cache_info().misses, _step_power.cache_info().misses) == (2088, 1580)
-        text = json.dumps(report, indent=2) + "\n"  # the bytes of the CLI's report
-        assert hashlib.sha256(text.encode()).hexdigest() == STOCHASTIC_260_SHA256
+    def test_verify_all_makes_one_pass_per_coin(self, monkeypatch):
+        # kraus, stochastic, recurrence and memory share one pass per coin of
+        # the grid; the memory suite's symmetric config is the grid's, so it
+        # makes no pass of its own
+        want = sum(SUITE_BLOCK_PRODUCTS.values()) - 3 * 4 * 14
+        assert block_products(monkeypatch, lambda: run_suite("all", 14)) == want == 116
 
-    def test_memory_builds_each_reshuffling_term_once(self):
-        # reconstruction n re-reads the terms 2..n of its config; built per
-        # read, or memoised beneath the term instead of on it, each read
-        # would convolve and re-check the term again
-        clear_memos()
-        report = run_suite("memory", 100)
-        info = reshuffling_matrix.cache_info()
-        assert (info.hits, info.misses) == (24304, 502)
-        text = json.dumps(report, indent=2) + "\n"
-        assert hashlib.sha256(text.encode()).hexdigest() == MEMORY_100_SHA256
+    def test_stochastic_builds_each_kraus_pair_once(self, monkeypatch):
+        # kernel n and reshuffling term n + 1 read Kraus pair n, and each
+        # coin's 261 step powers are built once for both its initial states
+        reports = []
+        products = block_products(monkeypatch,
+                                  lambda: reports.append(run_suite("stochastic", 260)))
+        assert products == 4 * 260 + 8 * 2
+        assert report_sha256(reports[0]) == STOCHASTIC_260_SHA256
 
-    def test_verify_twice_is_byte_identical_to_a_cold_run(self):
-        clear_memos()
-        cold = json.dumps(run_suite("all", 14))
-        assert json.dumps(run_suite("all", 14)) == cold
-        assert json.dumps(run_suite("all", 14)) == cold
+    def test_memory_builds_each_reshuffling_term_once(self, monkeypatch):
+        # reconstruction n adds the held terms 2..n of its config, each built
+        # once; built per read, each read would convolve and re-check the term
+        calls = 0
+        reshuffling = kernels._reshuffling
 
-    def test_caches_stay_within_their_bound(self):
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return reshuffling(*args)
+
+        monkeypatch.setattr(kernels, "_reshuffling", counted)
+        reports = []
+        products = block_products(monkeypatch,
+                                  lambda: reports.append(run_suite("memory", 100)))
+        # the pass to 101 builds terms 1..101 of each config, the scan terms 2..8
+        assert (products, calls) == (4 * 100 + 6, 5 * 101 + 7)
+        assert report_sha256(reports[0]) == MEMORY_100_SHA256
+
+    def test_a_failing_term_stops_only_its_readers(self, monkeypatch):
+        # Omega_4 fails for two configs: the three suites that read the term
+        # each report the first failure in their own config order (the grid's
+        # for stochastic and recurrence, the memory suite's own for memory),
+        # and the kraus, prop2 and analysis records stay
+        reshuffling = kernels._reshuffling
+        failing = {WalkConfig(c=0.0, d=1.0, p=1.0 / 3.0): 1.0, WalkConfig.symmetric(): 2.0}
+
+        def failing_term(config, i, pair):
+            if i == 4 and config in failing:
+                raise NumericalError(f"term {i} fails", failing[config], 0.5)
+            return reshuffling(config, i, pair)
+
+        want = run_suite("all", 6)["checks"]
+        monkeypatch.setattr(kernels, "_reshuffling", failing_term)
+        got = run_suite("all", 6)["checks"]
+        failures = {c["name"]: c["max_residual"] for c in got if "failure" in c["name"]}
+        assert failures == {"stochastic-numerical-failure": 1.0,
+                            "recurrence-numerical-failure": 1.0,
+                            "memory-numerical-failure": 2.0}
+        kept = [c for c in want if c["name"] in {r["name"] for r in got}]
+        assert [c for c in got if "failure" not in c["name"]] == kept
+        assert [c["name"] for c in got].index("memory-numerical-failure") < \
+            [c["name"] for c in got].index("binomial-solution")
+
+    def test_verify_twice_is_byte_identical(self):
+        first = json.dumps(run_suite("all", 14))
+        assert json.dumps(run_suite("all", 14)) == first
+        assert json.dumps(run_suite("all", 14)) == first
+
+    def test_one_pass_to_a_thousand_steps_stays_small(self):
+        # the pass keeps the block powers up to 512, not every pair it yields
+        # (11.8 MB measured)
+        steps = _kraus_steps(WalkConfig(c=0.0, d=1.0, p=0.25), 1000)
+        tracemalloc.start()
+        try:
+            for _ in steps:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e6 < 16
+
+    def test_reconstruction_past_the_old_cache_size(self, monkeypatch):
+        # the library's own pass and the memory check's held terms give the
+        # same bits at n = 300, where a 256-entry memo missed on every read
         cfg = WalkConfig(c=0.0, d=1.0, p=0.25)
-        clear_memos()
-        pseudo_memory_reconstruct(cfg, 400)
-        for n in range(400):
-            quantum_kernel(cfg, n)
-        for fn in (*MEMOISED.values(), _step_power):
-            info = fn.cache_info()
-            assert info.maxsize == MEMO_SIZE and info.currsize == MEMO_SIZE
+        got = pseudo_memory_reconstruct(cfg, 300)
+        checked = []
+        distribution = kernels._memory_distribution
+        monkeypatch.setattr(kernels, "_memory_distribution",
+                            lambda acc: checked.append(distribution(acc)) or checked[-1])
+        pairs = enumerate(_kraus_steps(cfg, 300))  # the pairs the memory suite reads
+        omegas = [kernels._reshuffling(cfg, k + 1, pair) for k, pair in pairs]
+        [record] = verify._memory_checks({}, cfg, ([], [], omegas), 300, 1e-10)
+        assert record["pass"] and len(checked) == 300
+        assert bits(got) == bits(checked[-1])
+        assert got.distance(global_distribution(cfg, 300)) < 1e-12
 
 
 #: sha256 (``digest_of``) of quantum_kernel(cfg, m) for m = 0..8, per config
-#: of MEMO_CONFIGS, recorded when the period-m kernel had a second name.
+#: of TERM_CONFIGS, recorded when the period-m kernel had a second name.
 QUANTUM_KERNEL_SHA256 = {
     "p=0.25,c=0,d=1": "86a0b4340aa6eeb84063450e1139c6e9c3f1b3edc5b7ecaa9a686e422a94f2a7",
     "p=0.25,c=0.707,d=0+0.707j": "068fcde032d89da93f5cbc598b305069af737199ea0287ee04589b246fc0284e",
@@ -785,7 +843,7 @@ QUANTUM_KERNEL_SHA256 = {
     "phased,c=0,d=1": "46586afaef616285b36927877bdb319adbe1169ec79f74efa5ea5843fc27bcc5",
     "phased,c=0.707,d=0+0.707j": "6e34ecaa99c5c002253269e28e96bdc8618a151e94030c08b28e717a40c9900f",
 }
-#: sha256 (``digest_of``) of walk_steps(cfg, "kernel", 60, m) over MEMO_CONFIGS
+#: sha256 (``digest_of``) of walk_steps(cfg, "kernel", 60, m) over TERM_CONFIGS
 #: in order, per period m, recorded at the same build.
 KERNEL_WALK_SHA256 = {
     1: "897d9d504297bc9733b5b769803bb162a685680e1b834eb3b2c832abe6b387c0",
@@ -796,17 +854,17 @@ KERNEL_WALK_SHA256 = {
 
 
 class TestKernelLayerDigests:
-    @pytest.mark.parametrize("cfg", MEMO_CONFIGS, ids=config_id)
+    @pytest.mark.parametrize("cfg", TERM_CONFIGS, ids=config_id)
     def test_quantum_kernels_match_recorded_digests(self, cfg):
         got = digest_of(quantum_kernel(cfg, m) for m in range(9))
         assert got == QUANTUM_KERNEL_SHA256[config_id(cfg)]
 
     @pytest.mark.parametrize("m", sorted(KERNEL_WALK_SHA256))
     def test_kernel_walks_match_recorded_digests(self, m):
-        got = digest_of(d for cfg in MEMO_CONFIGS for d in walk_steps(cfg, "kernel", 60, m))
+        got = digest_of(d for cfg in TERM_CONFIGS for d in walk_steps(cfg, "kernel", 60, m))
         assert got == KERNEL_WALK_SHA256[m]
 
-    @pytest.mark.parametrize("cfg", MEMO_CONFIGS, ids=config_id)
+    @pytest.mark.parametrize("cfg", TERM_CONFIGS, ids=config_id)
     def test_period_zero_kernel_is_the_identity(self, cfg):
         # the unit kernel scaled by |c|^2 + |d|^2, which rounds to
         # 0.9999999999999998 for the symmetric state
