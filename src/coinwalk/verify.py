@@ -82,7 +82,8 @@ class _Folded:
 
     :func:`run_suite` folds every such suite it runs over one pass per coin;
     alone, one is folded on first iteration.  Iterating raises the
-    NumericalError that stopped the suite: the first in its config order.
+    NumericalError that stopped the suite: the first in its config order,
+    and within a config the first it meets reading its terms in step order.
     """
 
     def __init__(self, suite: str, max_steps: int, tol: float):
@@ -118,22 +119,22 @@ def _fold(folds: list[_Folded]) -> None:
     if not folds:
         return
     n, outcomes = folds[0].max_steps, {}
-    for _, coin in itertools.groupby(_grid(), lambda item: item[0]["p"]):
+    for _, coin in itertools.groupby(_grid(), lambda item: item[1]._unitary_bytes):
         readers = []  # params, config, the suites reading it, and what they read
         for params, cfg in coin:
             reading = {fold.suite for fold in folds if fold.suite != "memory" or cfg in _MEMORY}
             if reading:
                 readers.append((params, cfg, reading, ([], [], [])))
-        # the coin's step powers, which each of its configs shares
-        for k, block in enumerate(_block_powers(cfg, n + 1)):
-            for _, cfg, reading, (defects, kernel_terms, omegas) in readers:
-                pair = _pair(cfg, block)
+        # the step powers of the coin, which its configs share
+        for k, block in enumerate(_block_powers(readers[0][1], n + 1)):
+            for _, reader, reading, (defects, kernel_terms, omegas) in readers:
+                pair = _pair(reader, block)
                 if "kraus" in reading and k <= n:
                     defects.extend(map(completeness_defect, (pair, [a.adjoint() for a in pair])))
                 if reading & {"stochastic", "recurrence"}:
                     kernel_terms.append(_tried(kernels._kernel, pair))
                 if reading - {"kraus"} and k <= n:
-                    omegas.append(_tried(kernels._reshuffling, cfg, k + 1, pair))
+                    omegas.append(_tried(kernels._reshuffling, reader, k + 1, pair))
         for params, cfg, reading, terms in readers:
             for fold in folds:
                 if fold.suite in reading:
@@ -152,9 +153,13 @@ def _kraus_checks(params, cfg, terms, n, tol):
 
 
 def _stochastic_checks(params, cfg, terms, n, tol):
-    # kernel k and term k + 1 share a Kraus pair; the period-2 kernel is always checked
-    powers = [_read(kernel) for kernel in terms[1][: max(n, 2) + 1]]
-    null_sum = [phi_matrix(cfg), *map(_read, terms[2][:n])]
+    # kernel k and term k + 1 share a Kraus pair, read in turn; the period-2
+    # kernel is always checked
+    powers, null_sum = [], [phi_matrix(cfg)]
+    for k in range(max(n, 2) + 1):
+        powers.append(_read(terms[1][k]))
+        if k < n:
+            null_sum.append(_read(terms[2][k]))
     steps = {**params, "steps": f"0..{n}"}
     yield _check("quantum-kernel-unit-sum", steps,
                  _worst(abs(k.coefficient_sum - 1.0) for k in powers), tol)
@@ -173,14 +178,16 @@ def _recurrence_checks(params, cfg, terms, n, tol):
 
 
 def _memory_checks(params, cfg, terms, n, tol):
-    # reconstruction k adds held terms: Omega_2..Omega_k and the classical powers up to k
-    omegas = [_read(omega) for omega in terms[2][1:n]]
-    classical = kernels._powers(classical_kernel(cfg.p), n)
-    steps = enumerate(walk_steps(cfg, "global", n))
-    worst = _worst(kernels._memory_distribution(kernels._memory_sum(omegas, classical, k))
-                   .distance(dist) for k, dist in steps if k)
+    # reconstruction k adds held terms: Omega_2..Omega_k, Omega_k read after the
+    # walk's step k, and the classical powers up to k
+    classical, omegas, residuals = kernels._powers(classical_kernel(cfg.p), n), [], []
+    for k, dist in itertools.islice(enumerate(walk_steps(cfg, "global", n)), 1, None):
+        if k > 1:
+            omegas.append(_read(terms[2][k - 1]))
+        acc = kernels._memory_sum(omegas, classical, k)
+        residuals.append(kernels._memory_distribution(acc).distance(dist))
     yield _check("pseudo-memory-reconstruction", {"config": _MEMORY[cfg], "steps": f"1..{n}"},
-                 worst, tol)
+                 _worst(residuals), tol)
 
 
 _FOLD_CHECKS = {"kraus": _kraus_checks, "stochastic": _stochastic_checks,

@@ -190,13 +190,22 @@ class TestKrausPair:
     @pytest.mark.parametrize("p", P_GRID)
     @pytest.mark.parametrize("cd", COIN_INITS)
     def test_kraus_pass_equals_the_power_loop_bitwise(self, p, cd):
-        # past 256 and 512: the pass keeps the powers up to 512, and builds
-        # each one above from two of them
+        # every n to 300, and past 512: the pass keeps the powers up to 512,
+        # and builds each one above from two of them
         cfg = WalkConfig(c=cd[0], d=cd[1], p=p)
         step = build_step_operator(cfg)
-        checked = {*range(20), 255, 256, 257, 300, 511, 512, 513}
+        checked = {*range(301), 511, 512, 513}
         for n, pair in enumerate(_kraus_steps(cfg, 513)):
             if n in checked:
+                assert_is_block_power(cfg, n, pair, step.power(n))
+
+    def test_kraus_pass_equals_the_power_loop_past_a_thousand_steps(self):
+        # where top reaches 1024 and 2048; one pass to 2049 keeps about 34 MB
+        # of powers, so one grid config stands for the rest
+        cfg = WalkConfig(c=0.0, d=1.0, p=0.25)
+        step = build_step_operator(cfg)
+        for n, pair in enumerate(_kraus_steps(cfg, 2049)):
+            if n in {1023, 1024, 1025, 2049}:
                 assert_is_block_power(cfg, n, pair, step.power(n))
 
     @settings(max_examples=25, deadline=None)

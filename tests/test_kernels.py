@@ -769,26 +769,58 @@ class TestWalkTerms:
         assert (products, calls) == (4 * 100 + 6, 5 * 101 + 7)
         assert report_sha256(reports[0]) == MEMORY_100_SHA256
 
-    def test_a_failing_term_stops_only_its_readers(self, monkeypatch):
-        # Omega_4 fails for two configs: the three suites that read the term
-        # each report the first failure in their own config order (the grid's
-        # for stochastic and recurrence, the memory suite's own for memory),
-        # and the kraus, prop2 and analysis records stay
-        reshuffling = kernels._reshuffling
-        failing = {WalkConfig(c=0.0, d=1.0, p=1.0 / 3.0): 1.0, WalkConfig.symmetric(): 2.0}
+    @pytest.mark.parametrize("terms,first", [
+        # Omega_4 fails for two configs: the grid meets p=1/3 first, the
+        # memory suite the symmetric config
+        ({("reshuffling", P_GRID[1], 4): 1.0, ("reshuffling", 0.5, 4): 2.0}, (1.0, 1.0, 2.0)),
+        # two terms of one config fail: each suite meets Omega_2 before K_5,
+        # since it reads each kernel with the term that shares its Kraus pair
+        ({("reshuffling", P_GRID[1], 2): 3.0, ("kernel", P_GRID[1], 5): 4.0}, (3.0, 3.0, 3.0)),
+        # the walk's step 3 and Omega_5 fail: the memory check meets the step
+        # first, since it reads Omega_k after the walk's step k
+        ({("walk", P_GRID[1], 3): 5.0, ("reshuffling", P_GRID[1], 5): 6.0}, (6.0, 6.0, 5.0)),
+    ], ids=["two-configs", "two-terms", "walk-and-term"])
+    def test_a_failing_term_stops_only_its_readers(self, monkeypatch, terms, first):
+        # the stochastic, recurrence and memory suites, which read the terms,
+        # each report their first failure in the order the suite read its
+        # terms before they shared a pass; the kraus, prop2 and analysis
+        # records stay
+        configs = {P_GRID[1]: WalkConfig(c=0.0, d=1.0, p=P_GRID[1]), 0.5: WalkConfig.symmetric()}
+        # a term by the bits of its Kraus pair, a walk step by config and step
+        failing = {"reshuffling": {}, "kernel": {}, "walk": {}}
+        for (term, p, i), value in terms.items():
+            error = NumericalError(f"{term} {i} fails", value, 0.5)
+            if term == "walk":
+                failing[term][configs[p], i] = error
+            else:
+                failing[term][bits(kraus_pair(configs[p], i - (term == "reshuffling")))] = error
+        reshuffling, kernel, steps = kernels._reshuffling, kernels._kernel, verify.walk_steps
 
-        def failing_term(config, i, pair):
-            if i == 4 and config in failing:
-                raise NumericalError(f"term {i} fails", failing[config], 0.5)
+        def failing_reshuffling(config, i, pair):
+            if bits(tuple(pair)) in failing["reshuffling"]:
+                raise failing["reshuffling"][bits(tuple(pair))]
             return reshuffling(config, i, pair)
 
+        def failing_kernel(pair):
+            if bits(tuple(pair)) in failing["kernel"]:
+                raise failing["kernel"][bits(tuple(pair))]
+            return kernel(pair)
+
+        def failing_steps(config, scheme, n, *args):
+            for k, dist in enumerate(steps(config, scheme, n, *args)):
+                if scheme == "global" and (config, k) in failing["walk"]:
+                    raise failing["walk"][config, k]
+                yield dist
+
         want = run_suite("all", 6)["checks"]
-        monkeypatch.setattr(kernels, "_reshuffling", failing_term)
+        monkeypatch.setattr(kernels, "_reshuffling", failing_reshuffling)
+        monkeypatch.setattr(kernels, "_kernel", failing_kernel)
+        monkeypatch.setattr(verify, "walk_steps", failing_steps)
         got = run_suite("all", 6)["checks"]
         failures = {c["name"]: c["max_residual"] for c in got if "failure" in c["name"]}
-        assert failures == {"stochastic-numerical-failure": 1.0,
-                            "recurrence-numerical-failure": 1.0,
-                            "memory-numerical-failure": 2.0}
+        assert failures == dict(zip(["stochastic-numerical-failure",
+                                     "recurrence-numerical-failure",
+                                     "memory-numerical-failure"], first))
         kept = [c for c in want if c["name"] in {r["name"] for r in got}]
         assert [c for c in got if "failure" not in c["name"]] == kept
         assert [c["name"] for c in got].index("memory-numerical-failure") < \
