@@ -465,9 +465,13 @@ def cp_apply(rho: DensityMatrix, kraus: Sequence[LaurentOperator]) -> DensityMat
     each term a conj(b) rho, shifted by the degrees of a and b, is added on
     it in the same order as on the full window, so every stored entry
     rounds as it would there.  The output is summed in blocks of rows of
-    about ``_SCRATCH_CELLS`` entries, each adding every term's rows in that
-    order through one scratch block, so no entry's sum is regrouped; no
-    temporary is as large as the result.
+    about ``_SCRATCH_CELLS`` entries.  Each block copies the source rows it
+    reads into a zeroed window of rows as wide as the output, so that every
+    term is one contiguous run: a multiply into one scratch block, then an
+    add onto the block's rows.  A cell that a term does not reach adds a
+    product of 0, which is +-0 and leaves the sum (started at +0, so never
+    -0) as it was: no entry's sum is regrouped or changed, and no temporary
+    is as large as the result.
     """
     defect = completeness_defect(kraus)
     if not defect <= COMPLETENESS_TOL:  # NaN too
@@ -475,29 +479,44 @@ def cp_apply(rho: DensityMatrix, kraus: Sequence[LaurentOperator]) -> DensityMat
             f"Kraus completeness violated: residual {defect:.3e}", defect, COMPLETENESS_TOL
         )
     degrees = sorted({d for op in kraus for d in op.support})
-    dmin = degrees[0]
+    dmin, dmax = degrees[0], degrees[-1]
     if any((d - dmin) % 2 for d in degrees):
         raise ValueError(f"Kraus degrees {degrees} are of mixed parity")
     src = rho._mat
     w = src.shape[0]
-    size = w + (degrees[-1] - dmin) // 2
-    terms = [(a * np.conj(b), (d - dmin) // 2, (e - dmin) // 2)
+    reach = (dmax - dmin) // 2
+    size = w + reach
+    # term (r, c) adds rho shifted down r rows and right c columns: the run of the
+    # window below starting (reach - r) size + reach - c cells into its buffer
+    terms = [(a * np.conj(b), (dmax - d) // 2 * size + (dmax - e) // 2)
              for op in kraus for d, a in op.items() for e, b in op.items()]
     out = np.empty((size, size), dtype=complex)
     out.fill(0.0)  # written before any sum: no page is mapped to zeros, then copied
+    acc = out.reshape(-1)
     height = max(1, _SCRATCH_CELLS // size)
-    scratch = np.empty((min(height, w), w), dtype=complex)
+    scratch = np.empty(min(height, size) * size, dtype=complex)
+    # window row k, reach cells into the buffer, holds source row top - reach + k
+    # padded with zeros to the output's width; rows before rho's first are never
+    # written, and rows past its last are cleared
+    buffer = np.zeros(reach + scratch.size + reach * size, dtype=complex)
+    window = buffer[reach:].reshape(-1, size)
     for top in range(0, size, height):
-        bottom = min(top + height, size)
-        for coef, r, c in terms:
-            first, last = max(top, r), min(bottom, r + w)
-            if first < last:
-                block = scratch[: last - first]
-                # coefficient first: the operand order decides how numpy fuses
-                # the complex multiply, hence its rounding
-                np.multiply(coef, src[first - r : last - r], out=block)
-                out[first:last, c : c + w] += block
+        cells = (min(top + height, size) - top) * size
+        first, last = max(0, top - reach), min(w, top + height)
+        k = first - top + reach
+        window[k : k + last - first, :w] = src[first:last]
+        window[k + last - first :, :w] = 0.0
+        block, target = scratch[:cells], acc[top * size : top * size + cells]
+        for coef, start in terms:
+            # coefficient first: the operand order decides how numpy fuses
+            # the complex multiply, hence its rounding
+            np.multiply(coef, buffer[start : start + cells], out=block)
+            target += block
     out.setflags(write=False)  # handed over: the constructor need not copy it
+    # freed before the checks, whose temporaries then reuse their heap; held
+    # through them, all of it outgrows malloc's 128 kB trim threshold and is
+    # faulted in again each call
+    del buffer, window, scratch, block
     return DensityMatrix(out, rho.site_range[0] + dmin)
 
 
@@ -534,10 +553,11 @@ def _check_cp_counts(m: int, n_iterations: int) -> None:
 #: Entries of one block of M(k, k - q) in :func:`cp_distribution` (1 MB of
 #: complex values per array).
 _BLOCK_CELLS = 1 << 16
-#: Entries of one scratch block of :func:`cp_apply` and of the Hermiticity
-#: check (64 kB of complex values).  A strided numpy ufunc call also buffers
-#: up to 8,192 entries per operand; at 8,192 cells the blocks' temporaries
-#: outgrow malloc's 128 kB trim threshold and are faulted in again each call.
+#: Entries of one row block of :func:`cp_apply`, whose source window adds
+#: reach x size cells to it, and of the Hermiticity check (64 kB of complex
+#: values).  The check's strided numpy calls also buffer up to 8,192 entries
+#: per operand; at 8,192 cells the blocks' temporaries outgrow malloc's 128 kB
+#: trim threshold and are faulted in again each call.
 _SCRATCH_CELLS = 1 << 12
 
 

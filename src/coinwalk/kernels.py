@@ -246,7 +246,12 @@ def binomial_solution(config: WalkConfig, n: int) -> SiteDistribution:
     """
     _check_steps(n)
     delta_c = classical_kernel(_require_bias(config))
-    phi_powers, classical_powers = _powers(phi_matrix(config), n), _powers(delta_c, n)
+    return _binomial_sum(_powers(phi_matrix(config), n), _powers(delta_c, n), n)
+
+
+def _binomial_sum(phi_powers: list[RealKernel], classical_powers: list[RealKernel],
+                  n: int) -> SiteDistribution:
+    """``binomial_solution`` at n from the powers of phi and delta_c, each list to n or beyond."""
     terms = (phi_powers[n - k].convolve(classical_powers[k]) for k in range(n + 1))
     scaled = [(t.lo, float(math.comb(n, k)) * t.values) for k, t in enumerate(terms)]
     lo, acc = window_sum(scaled)

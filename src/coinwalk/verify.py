@@ -224,7 +224,10 @@ def suite_prop2(max_steps: int, tol: float = 1e-10) -> Iterator[dict]:
     # binomial solution against the iterated kernel walk, and its majorization chain
     walk = list(walk_steps(cfg, "kernel", max_steps))
     params = {"config": "symmetric p=1/2", "steps": f"0..{max_steps}"}
-    worst = _worst(kernels.binomial_solution(cfg, n).distance(w) for n, w in enumerate(walk))
+    # the powers of phi and delta_c, built once for every n
+    powers = (kernels._powers(phi_matrix(cfg), max_steps),
+              kernels._powers(classical_kernel(cfg.p), max_steps))
+    worst = _worst(kernels._binomial_sum(*powers, n).distance(w) for n, w in enumerate(walk))
     yield _check("binomial-solution", params, worst, tol)
     yield _holds("kernel-walk-majorization-chain", params, _ordered(walk))
 

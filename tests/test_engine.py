@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from coinwalk import engine
 from coinwalk.engine import (
     DensityMatrix,
     KrausCompletenessError,
@@ -652,11 +653,22 @@ class TestCpApply:
             assert np.abs(dense - dense.conj().T).max() < 1e-12
 
 
-    def test_peak_allocation_is_the_result_and_blocks(self, symmetric):
-        # the output, one scratch block of rows and numpy's buffers for it: no
-        # temporary as large as the 301 x 301 result (1.45 MB)
-        rho = _last(_cp_steps(symmetric, 2, 149))
-        kraus = kraus_pair(symmetric, 2)
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_small_blocks_keep_every_iterate(self, monkeypatch, m, cells):
+        # blocks of fewer rows than the Kraus reach, which split the source
+        # window, store what the default blocks store
+        cfg = WalkConfig(c=0.6, d=0.8j, coin=PHASED_COIN)
+        want = [(rho._lo, rho._mat.tobytes()) for rho in _cp_steps(cfg, m, 8)]
+        monkeypatch.setattr(engine, "_SCRATCH_CELLS", cells)
+        assert [(rho._lo, rho._mat.tobytes()) for rho in _cp_steps(cfg, m, 8)] == want
+
+    @pytest.mark.parametrize("m,iters", [(2, 149), (5, 59)])
+    def test_peak_allocation_is_the_result_and_blocks(self, symmetric, m, iters):
+        # the output, one block of rows and its source window (reach rows more):
+        # no temporary as large as the 301 x 301 result (1.45 MB)
+        rho = _last(_cp_steps(symmetric, m, iters))
+        kraus = kraus_pair(symmetric, m)
         cp_apply(rho, kraus)
         tracemalloc.start()
         try:

@@ -596,7 +596,7 @@ SUITE_BLOCK_PRODUCTS = {
     "stochastic": 4 * 14 + 8 * 2,
     "recurrence": 4 * 14,
     "memory": 4 * 14 + 6,
-    "prop2": 36,
+    "prop2": 8,
     "analysis": 2,
 }
 
@@ -739,7 +739,7 @@ class TestWalkTerms:
         # the grid; the memory suite's symmetric config is the grid's, so it
         # makes no pass of its own
         want = sum(SUITE_BLOCK_PRODUCTS.values()) - 3 * 4 * 14
-        assert block_products(monkeypatch, lambda: run_suite("all", 14)) == want == 116
+        assert block_products(monkeypatch, lambda: run_suite("all", 14)) == want == 88
 
     def test_stochastic_builds_each_kraus_pair_once(self, monkeypatch):
         # kernel n and reshuffling term n + 1 read Kraus pair n, and each
